@@ -16,7 +16,7 @@ func TestITIDBasics(t *testing.T) {
 	if m.First() != 1 {
 		t.Errorf("first = %d", m.First())
 	}
-	got := m.Threads()
+	got := members(m)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("threads = %v", got)
 	}
@@ -40,21 +40,35 @@ func TestITIDString(t *testing.T) {
 	}
 }
 
+// members collects m's threads with the core's iteration idiom: clear
+// the lowest set bit until the mask is empty.
+func members(m ITID) []int {
+	var out []int
+	for rest := m; rest != 0; rest &= rest - 1 {
+		out = append(out, rest.First())
+	}
+	return out
+}
+
 func TestITIDProperties(t *testing.T) {
 	prop := func(raw uint8) bool {
 		m := ITID(raw & 0xf)
-		// Count equals number of Threads.
-		if len(m.Threads()) != m.Count() {
+		ths := members(m)
+		// The iteration visits Count threads, each a member, ascending.
+		if len(ths) != m.Count() {
 			return false
 		}
-		// With/Without round trip.
-		for _, th := range m.Threads() {
+		for i, th := range ths {
+			if !m.Has(th) || (i > 0 && ths[i-1] >= th) {
+				return false
+			}
+			// With/Without round trip.
 			if m.Without(th).With(th) != m {
 				return false
 			}
 		}
 		// First is the minimum member.
-		if m != 0 && m.Threads()[0] != m.First() {
+		if m != 0 && ths[0] != m.First() {
 			return false
 		}
 		return true

@@ -54,10 +54,9 @@ func (sn *SplitNetwork) Evaluate(shared PairBits, itid ITID) []ITID {
 	entryBit := make([]bool, len(sn.entries))
 	for e, eid := range sn.entries {
 		ok := true
-		ths := eid.Threads()
-		for a := 0; a < len(ths) && ok; a++ {
-			for b := a + 1; b < len(ths); b++ {
-				if !shared(ths[a], ths[b]) {
+		for ma := eid; ma != 0 && ok; ma &= ma - 1 {
+			for mb := ma & (ma - 1); mb != 0; mb &= mb - 1 {
+				if !shared(ma.First(), mb.First()) {
 					ok = false
 					break
 				}
