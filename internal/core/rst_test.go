@@ -68,10 +68,16 @@ func TestRSTMergeInto(t *testing.T) {
 	}
 }
 
+// partition adapts RST.Partition to slices for the assertions below.
+func partition(r *RST, itid ITID, srcs []uint8) ([]ITID, []bool) {
+	cs := r.Partition(itid, srcs)
+	return cs.ITID[:cs.N], cs.RegMergeAssisted[:cs.N]
+}
+
 func TestRSTPartitionAllShared(t *testing.T) {
 	r := NewRST(4, prog.ModeME)
 	itid := ITID(0b1111)
-	classes, rm := r.Partition(itid, []uint8{4, 5})
+	classes, rm := partition(r, itid, []uint8{4, 5})
 	if len(classes) != 1 || classes[0] != itid {
 		t.Errorf("classes = %v", classes)
 	}
@@ -84,7 +90,7 @@ func TestRSTPartitionSplitsByVersion(t *testing.T) {
 	r := NewRST(4, prog.ModeME)
 	// Thread 2 writes reg 4 privately: {0,1,3} stay together, {2} splits.
 	r.WriteSplit(2, 4)
-	classes, _ := r.Partition(ITID(0b1111), []uint8{4})
+	classes, _ := partition(r, ITID(0b1111), []uint8{4})
 	if len(classes) != 2 {
 		t.Fatalf("classes = %v", classes)
 	}
@@ -99,7 +105,7 @@ func TestRSTPartitionFullSplit(t *testing.T) {
 	for th := 0; th < 4; th++ {
 		r.WriteSplit(th, 6)
 	}
-	classes, _ := r.Partition(ITID(0b1111), []uint8{6})
+	classes, _ := partition(r, ITID(0b1111), []uint8{6})
 	if len(classes) != 4 {
 		t.Errorf("classes = %v", classes)
 	}
@@ -115,7 +121,7 @@ func TestRSTPartitionPairs(t *testing.T) {
 	// Pair up {0,1} and {2,3} differently.
 	r.WriteMerged(ITIDOf(0).With(1), 8)
 	r.WriteMerged(ITIDOf(2).With(3), 8)
-	classes, _ := r.Partition(ITID(0b1111), []uint8{8})
+	classes, _ := partition(r, ITID(0b1111), []uint8{8})
 	if len(classes) != 2 || classes[0].Count() != 2 || classes[1].Count() != 2 {
 		t.Errorf("classes = %v", classes)
 	}
@@ -125,12 +131,12 @@ func TestRSTPartitionMultipleSources(t *testing.T) {
 	r := NewRST(2, prog.ModeME)
 	// reg4 shared, reg5 split: instruction reading both must split.
 	r.WriteSplit(0, 5)
-	classes, _ := r.Partition(ITID(0b11), []uint8{4, 5})
+	classes, _ := partition(r, ITID(0b11), []uint8{4, 5})
 	if len(classes) != 2 {
 		t.Errorf("classes = %v", classes)
 	}
 	// Instruction reading only reg4 stays merged.
-	classes, _ = r.Partition(ITID(0b11), []uint8{4})
+	classes, _ = partition(r, ITID(0b11), []uint8{4})
 	if len(classes) != 1 {
 		t.Errorf("classes = %v", classes)
 	}
@@ -138,7 +144,7 @@ func TestRSTPartitionMultipleSources(t *testing.T) {
 
 func TestRSTPartitionSingleton(t *testing.T) {
 	r := NewRST(2, prog.ModeME)
-	classes, rm := r.Partition(ITIDOf(1), []uint8{4})
+	classes, rm := partition(r, ITIDOf(1), []uint8{4})
 	if len(classes) != 1 || classes[0] != ITIDOf(1) || rm[0] {
 		t.Errorf("singleton partition = %v %v", classes, rm)
 	}
@@ -147,7 +153,7 @@ func TestRSTPartitionSingleton(t *testing.T) {
 func TestRSTPartitionRegZeroIgnored(t *testing.T) {
 	r := NewRST(2, prog.ModeME)
 	// r0 never splits an instruction even if versions were touched.
-	classes, _ := r.Partition(ITID(0b11), []uint8{isa.RegZero})
+	classes, _ := partition(r, ITID(0b11), []uint8{isa.RegZero})
 	if len(classes) != 1 {
 		t.Errorf("classes = %v", classes)
 	}
@@ -158,7 +164,7 @@ func TestRSTPartitionRegMergeAttribution(t *testing.T) {
 	r.WriteSplit(0, 9)
 	r.WriteSplit(1, 9)
 	r.MergeInto(0, 1, 9)
-	classes, rm := r.Partition(ITID(0b11), []uint8{9})
+	classes, rm := partition(r, ITID(0b11), []uint8{9})
 	if len(classes) != 1 || !rm[0] {
 		t.Errorf("classes=%v rm=%v", classes, rm)
 	}

@@ -117,7 +117,7 @@ func TestSplitNetworkMatchesPartition(t *testing.T) {
 			for itid == 0 {
 				itid = ITID(r.Intn(1<<nthreads)) & (1<<nthreads - 1)
 			}
-			want, _ := rst.Partition(itid, srcs)
+			want, _ := partition(rst, itid, srcs)
 			pair := func(i, j int) bool {
 				for _, s := range srcs {
 					if s != isa.RegZero && !rst.Shared(i, j, s) {
