@@ -19,8 +19,8 @@ type dynRec struct {
 // stream adapts one context's oracle into a rewindable record stream.
 type stream struct {
 	ctx    *prog.Context
-	buf    []dynRec
-	base   uint64 // dynamic index of buf[0]
+	buf    ring[dynRec]
+	base   uint64 // dynamic index of the oldest buffered record
 	cursor uint64 // next index fetch will consume
 	// maxInsts caps the records produced (0 = unbounded); the thread
 	// then behaves as if it halted at the cap.
@@ -33,7 +33,8 @@ func newStream(ctx *prog.Context, maxInsts uint64) *stream {
 }
 
 // peek returns the record at the cursor, producing it from the oracle if
-// necessary. ok is false when the thread has halted (no more records) or
+// necessary. The pointer is valid until the stream next produces or
+// releases a record. ok is false when the thread has halted (no more records) or
 // the oracle errored (check s.err).
 func (s *stream) peek() (*dynRec, bool) {
 	if s.err != nil {
@@ -42,7 +43,7 @@ func (s *stream) peek() (*dynRec, bool) {
 	if s.maxInsts > 0 && s.cursor >= s.maxInsts {
 		return nil, false
 	}
-	for s.cursor >= s.base+uint64(len(s.buf)) {
+	for s.cursor >= s.base+uint64(s.buf.len()) {
 		if s.ctx.Halted() {
 			return nil, false
 		}
@@ -52,11 +53,11 @@ func (s *stream) peek() (*dynRec, bool) {
 			s.err = err
 			return nil, false
 		}
-		s.buf = append(s.buf, dynRec{
-			idx: s.base + uint64(len(s.buf)), pc: pc, inst: inst, eff: eff,
+		s.buf.push(dynRec{
+			idx: s.base + uint64(s.buf.len()), pc: pc, inst: inst, eff: eff,
 		})
 	}
-	return &s.buf[s.cursor-s.base], true
+	return s.buf.ptr(int(s.cursor - s.base)), true
 }
 
 // advance moves the cursor past the current record.
@@ -83,8 +84,7 @@ func (s *stream) release(idx uint64) {
 	if idx > s.cursor {
 		panic("core: releasing unfetched records")
 	}
-	drop := idx - s.base
-	s.buf = s.buf[drop:]
+	s.buf.popFront(int(idx - s.base))
 	s.base = idx
 }
 
