@@ -29,9 +29,10 @@ type trace struct {
 
 // TraceCache stores traces keyed by start PC with LRU replacement under a
 // byte-capacity budget. Lookup is "perfect trace prediction": a resident
-// trace is always usable.
+// trace is always usable. Traces are stored by value, so a flush that
+// re-inserts a resident start PC allocates nothing.
 type TraceCache struct {
-	byStart  map[uint64]*trace
+	byStart  map[uint64]trace
 	capInsts int
 	used     int
 	clock    uint64
@@ -45,7 +46,7 @@ type TraceCache struct {
 // lookup misses).
 func New(capacityBytes int) *TraceCache {
 	return &TraceCache{
-		byStart:  make(map[uint64]*trace),
+		byStart:  make(map[uint64]trace),
 		capInsts: capacityBytes / instSlotBytes,
 	}
 }
@@ -53,13 +54,14 @@ func New(capacityBytes int) *TraceCache {
 // Lookup reports whether a trace starting at pc is resident, and if so how
 // many taken branches the front end may fetch through this cycle.
 func (tc *TraceCache) Lookup(pc uint64) (branches int, ok bool) {
-	t := tc.byStart[pc]
-	if t == nil {
+	t, ok := tc.byStart[pc]
+	if !ok {
 		tc.Misses++
 		return 0, false
 	}
 	tc.clock++
 	t.lru = tc.clock
+	tc.byStart[pc] = t
 	tc.Hits++
 	return t.branches, true
 }
@@ -69,7 +71,7 @@ func (tc *TraceCache) Insert(startPC uint64, insts, branches int) {
 	if tc.capInsts <= 0 || insts <= 0 {
 		return
 	}
-	if old := tc.byStart[startPC]; old != nil {
+	if old, ok := tc.byStart[startPC]; ok {
 		tc.used -= old.insts
 		delete(tc.byStart, startPC)
 	}
@@ -77,7 +79,7 @@ func (tc *TraceCache) Insert(startPC uint64, insts, branches int) {
 		tc.evictLRU()
 	}
 	tc.clock++
-	tc.byStart[startPC] = &trace{startPC: startPC, insts: insts, branches: branches, lru: tc.clock}
+	tc.byStart[startPC] = trace{startPC: startPC, insts: insts, branches: branches, lru: tc.clock}
 	tc.used += insts
 }
 
@@ -85,11 +87,12 @@ func (tc *TraceCache) evictLRU() {
 	// lru stamps are unique (the clock ticks on every touch), so the
 	// minimum is well defined; the startPC tie-break keeps the choice
 	// deterministic even if that ever changes.
-	var victim *trace
+	var victim trace
+	found := false
 	for _, t := range tc.byStart { // mmtvet:ok — unique-minimum selection
-		if victim == nil || t.lru < victim.lru ||
+		if !found || t.lru < victim.lru ||
 			(t.lru == victim.lru && t.startPC < victim.startPC) {
-			victim = t
+			victim, found = t, true
 		}
 	}
 	tc.used -= victim.insts

@@ -99,3 +99,21 @@ func TestBuilderTracksContiguity(t *testing.T) {
 		t.Error("partial trace visible")
 	}
 }
+
+// TestReinsertResidentAllocsNothing pins the steady-state cost of a
+// builder flush: re-inserting a resident start PC replaces the trace in
+// place.
+func TestReinsertResidentAllocsNothing(t *testing.T) {
+	tc := New(1 << 20)
+	for pc := uint64(0); pc < 64; pc++ {
+		tc.Insert(0x1000+pc*4, 8, 1)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tc.Insert(0x1010, 12, 2)
+	}); allocs != 0 {
+		t.Errorf("re-inserting a resident trace allocates %v per run", allocs)
+	}
+	if br, ok := tc.Lookup(0x1010); !ok || br != 2 {
+		t.Errorf("lookup = %d/%v", br, ok)
+	}
+}
