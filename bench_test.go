@@ -11,6 +11,7 @@
 package mmt_test
 
 import (
+	"runtime"
 	"testing"
 
 	"mmt/internal/core"
@@ -204,15 +205,18 @@ func BenchmarkSec63_RemergeDistance(b *testing.B) {
 }
 
 // BenchmarkCoreThroughput measures raw simulator speed (simulated
-// instructions per host second) — an engineering metric, not a paper
-// artifact.
+// instructions per host second) and heap allocations per simulated
+// instruction — engineering metrics, not paper artifacts.
 func BenchmarkCoreThroughput(b *testing.B) {
 	app, ok := workloads.ByName("water-ns")
 	if !ok {
 		b.Fatal("missing app")
 	}
 	var insts uint64
+	var before, after runtime.MemStats
+	b.ReportAllocs()
 	b.ResetTimer()
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		r, err := sim.Run(app, sim.PresetMMTFXR, 4, nil)
 		if err != nil {
@@ -220,7 +224,9 @@ func BenchmarkCoreThroughput(b *testing.B) {
 		}
 		insts += r.Stats.TotalCommitted()
 	}
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(insts), "allocs/sim-inst")
 }
 
 // --- Extension and ablation benchmarks (beyond the paper's figures) ---
