@@ -63,7 +63,7 @@ func RunPipe(args []string, out io.Writer) error {
 	// Attach only after the warmup skip, so the collector holds just the
 	// traced window.
 	col := obs.NewCollector()
-	c.Attach(col, 0)
+	c.Attach(core.NewEventStream(col, 0))
 
 	fmt.Fprintf(out, "%s / %s / %dT — tracing cycles %d..%d\n", app.Name, *preset, *threads, *from, *from+*cycles)
 	fmt.Fprintf(out, "%8s %6s %6s %6s %6s %7s %6s %5s  %s\n",

@@ -100,7 +100,9 @@ func (c *Core) commit(u *uop, now uint64) {
 		}
 	}
 
-	c.probeCommit(u)
+	for _, o := range c.observers {
+		o.Commit(now, u.pc, u.commitClass(), u.itid.Count())
+	}
 
 	// Commit classification (Fig. 5b): per-thread instructions.
 	n := uint64(u.itid.Count())

@@ -30,7 +30,7 @@ type group struct {
 	takenSinceDiverge uint64
 	// divergePC is the control-instruction PC whose divergence created
 	// this group (0 for initial groups and post-squash regroups); the
-	// attribution probe charges this group's catchup cycles and eventual
+	// attribution profiler charges this group's catchup cycles and eventual
 	// remerge to that site.
 	divergePC uint64
 	// catchupInsts counts instructions fetched while catching up; a
@@ -177,26 +177,20 @@ func (c *Core) attemptMerges(now uint64) {
 // mergeGroups unifies b into a.
 func (c *Core) mergeGroups(a, b *group) {
 	c.stats.Remerges++
-	var mergePC uint64
-	if c.rec != nil || c.probe != nil {
-		// The groups merge because their next fetch PCs are equal; that
-		// common PC is the observed reconvergence point.
-		mergePC, _ = c.streams[a.members.First()].nextPC()
-	}
-	if c.rec != nil {
-		c.emit(obs.EvRemerge, int32(a.members.First()), mergePC, uint64((a.members | b.members).Count()))
-	}
 	dist := a.takenSinceDiverge
 	if b.takenSinceDiverge > dist {
 		dist = b.takenSinceDiverge
 	}
 	c.stats.RecordRemergeDistance(dist)
-	if c.probe != nil {
-		dp := a.divergePC
-		if dp == 0 {
-			dp = b.divergePC
-		}
-		c.probe.Remerge(dp, mergePC, dist)
+	dp := a.divergePC
+	if dp == 0 {
+		dp = b.divergePC
+	}
+	for _, o := range c.observers {
+		// The groups merge because their next fetch PCs are equal; that
+		// common PC is the observed reconvergence point.
+		mergePC, _ := c.streams[a.members.First()].nextPC()
+		o.Remerge(c.now, a.members.First(), dp, mergePC, (a.members | b.members).Count(), dist)
 	}
 	c.dissolveLinks(a)
 	c.dissolveLinks(b)
@@ -322,7 +316,9 @@ func (c *Core) fetchStage(now uint64) {
 			g.catchupInsts += uint64(n)
 			if g.catchupInsts > catchupLimit {
 				c.stats.CatchupsAborted++
-				c.emit(obs.EvCatchupAbort, int32(g.members.First()), 0, g.catchupInsts)
+				for _, o := range c.observers {
+					o.CatchupAbort(now, g.members.First(), 0, g.catchupInsts)
+				}
 				c.cancelCatchup(g)
 				g.catchupInsts = 0
 			}
@@ -593,9 +589,8 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		// path redirect — a fixed front-end penalty under a trace hit,
 		// a stall until the branch resolves otherwise.
 		c.stats.RecordDivergencePC(u.pc)
-		c.emit(obs.EvDiverge, int32(leader), u.pc, uint64(nparts))
-		if c.probe != nil {
-			c.probe.Diverge(u.pc, nparts)
+		for _, o := range c.observers {
+			o.Diverge(now, leader, u.pc, nparts)
 		}
 		subs := c.splitGroup(g, parts[:nparts], u.pc)
 		for i, sg := range subs[:nparts] {
@@ -603,7 +598,9 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 				continue
 			}
 			c.stats.Mispredicts++
-			c.emit(obs.EvMispredict, int32(sg.members.First()), u.pc, 0)
+			for _, o := range c.observers {
+				o.Mispredict(now, sg.members.First(), u.pc)
+			}
 			if traceHit {
 				if s := now + c.cfg.DivergeRedirectPenalty; s > sg.stallUntil {
 					sg.stallUntil = s
@@ -619,7 +616,9 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	// Unanimous outcome: a wrong front-end path stalls the whole group.
 	if u.effs[leader].NextPC != followPath {
 		c.stats.Mispredicts++
-		c.emit(obs.EvMispredict, int32(leader), u.pc, 0)
+		for _, o := range c.observers {
+			o.Mispredict(now, leader, u.pc)
+		}
 		g.waitBranch = u
 		u.stalledGroups = append(u.stalledGroups, g)
 	}
@@ -636,7 +635,9 @@ func (c *Core) updateCatchup(g *group, target uint64) {
 		// positive and we fall back to DETECT (§4.1).
 		if !c.groupFHBContains(g.ahead, target) {
 			c.stats.CatchupsAborted++
-			c.emit(obs.EvCatchupAbort, int32(g.members.First()), target, g.catchupInsts)
+			for _, o := range c.observers {
+				o.CatchupAbort(c.now, g.members.First(), target, g.catchupInsts)
+			}
 			c.cancelCatchup(g)
 		}
 		return
@@ -651,7 +652,9 @@ func (c *Core) updateCatchup(g *group, target uint64) {
 			g.catchupInsts = 0
 			o.behindCnt++
 			c.stats.CatchupsStarted++
-			c.emit(obs.EvCatchupStart, int32(g.members.First()), target, uint64(o.members.First()))
+			for _, ob := range c.observers {
+				ob.CatchupStart(c.now, g.members.First(), target, o.members.First())
+			}
 			return
 		}
 	}

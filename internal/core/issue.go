@@ -1,9 +1,6 @@
 package core
 
-import (
-	"mmt/internal/obs"
-	"mmt/internal/prog"
-)
+import "mmt/internal/prog"
 
 // dataSpace returns the address-space id for thread t's access to addr:
 // multi-threaded workloads share one space, multi-execution processes have
@@ -149,8 +146,8 @@ func (c *Core) completeStage(now uint64) {
 				c.lvipRollback(u, now, true)
 			} else {
 				c.lvip.RecordIdentical(u.pc)
-				if c.probe != nil {
-					c.probe.LVIPHit(u.pc)
+				for _, o := range c.observers {
+					o.LVIPHit(now, u.pc)
 				}
 			}
 		} else if u.sharedVerify && c.loadValuesDiffer(u) {
@@ -204,18 +201,13 @@ func (c *Core) lvipRollback(u *uop, now uint64, train bool) {
 		c.lvip.RecordMispredict(u.pc)
 	}
 	affected := u.itid
-	c.emit(obs.EvRollback, int32(affected.First()), u.pc, uint64(affected.Count()))
-
 	squashedBefore := c.stats.SquashedUops
 	c.squashYounger(affected, u.seq, now)
-	if n := c.stats.SquashedUops - squashedBefore; n > 0 {
-		c.emit(obs.EvSquash, int32(affected.First()), u.pc, n)
+	for _, o := range c.observers {
+		o.Rollback(now, affected.First(), u.pc, affected.Count(), c.cfg.MispredictPenalty, c.stats.SquashedUops-squashedBefore)
 	}
-	if c.probe != nil {
-		c.probe.LVIPMispredict(u.pc, c.cfg.MispredictPenalty, c.stats.SquashedUops-squashedBefore)
-		if until := now + c.cfg.MispredictPenalty; until > c.rollbackUntil {
-			c.rollbackUntil = until
-		}
+	if until := now + c.cfg.MispredictPenalty; until > c.rollbackUntil {
+		c.rollbackUntil = until
 	}
 
 	// The load itself survives but its destination becomes per-thread

@@ -1,5 +1,5 @@
 // Package prof is the per-PC attribution profiler and CPI-stack cycle
-// accounting layer. A Profiler implements core.Probe: attached to a
+// accounting layer. A Profiler implements core.Observer: attached to a
 // simulated core it charges every committed uop, divergence, remerge,
 // catchup cycle and LVIP event to the static instruction that caused it,
 // and attributes every core cycle to one CPI-stack component (base /
@@ -154,7 +154,7 @@ type Profiler struct {
 	cycles       uint64
 }
 
-var _ core.Probe = (*Profiler)(nil)
+var _ core.Observer = (*Profiler)(nil)
 
 // New returns a profiler with the DefaultMaxSites site bound.
 func New() *Profiler { return NewWithCap(DefaultMaxSites) }
@@ -189,8 +189,8 @@ func (p *Profiler) site(pc uint64) *SiteStats {
 	return s
 }
 
-// CommitUop implements core.Probe.
-func (p *Profiler) CommitUop(pc uint64, class core.CommitClass, threads int) {
+// Commit implements core.Observer.
+func (p *Profiler) Commit(now, pc uint64, class core.CommitClass, threads int) {
 	s := p.site(pc)
 	if s == nil {
 		return
@@ -205,18 +205,18 @@ func (p *Profiler) CommitUop(pc uint64, class core.CommitClass, threads int) {
 	}
 }
 
-// Diverge implements core.Probe.
-func (p *Profiler) Diverge(pc uint64, parts int) {
+// Diverge implements core.Observer.
+func (p *Profiler) Diverge(now uint64, thread int, pc uint64, parts int) {
 	if s := p.site(pc); s != nil {
 		s.Divergences++
 	}
 }
 
-// Remerge implements core.Probe.
-func (p *Profiler) Remerge(divergePC, remergePC uint64, takenBranches uint64) {
+// Remerge implements core.Observer.
+func (p *Profiler) Remerge(now uint64, thread int, divergePC, remergePC uint64, members int, dist uint64) {
 	if s := p.site(divergePC); s != nil {
 		s.Remerges++
-		s.RemergeDistSum += takenBranches
+		s.RemergeDistSum += dist
 	}
 	if divergePC == 0 || remergePC == 0 {
 		return // unattributable (initial groups, drained stream)
@@ -229,35 +229,44 @@ func (p *Profiler) Remerge(divergePC, remergePC uint64, takenBranches uint64) {
 	p.edges[k]++
 }
 
-// CatchupCycle implements core.Probe.
-func (p *Profiler) CatchupCycle(divergePC uint64) {
-	if s := p.site(divergePC); s != nil {
-		s.CatchupCycles++
-	}
-}
+// CatchupStart implements core.Observer.
+func (p *Profiler) CatchupStart(now uint64, thread int, target uint64, ahead int) {}
 
-// LVIPHit implements core.Probe.
-func (p *Profiler) LVIPHit(pc uint64) {
+// CatchupAbort implements core.Observer.
+func (p *Profiler) CatchupAbort(now uint64, thread int, target, fetched uint64) {}
+
+// Mispredict implements core.Observer.
+func (p *Profiler) Mispredict(now uint64, thread int, pc uint64) {}
+
+// LVIPHit implements core.Observer.
+func (p *Profiler) LVIPHit(now, pc uint64) {
 	if s := p.site(pc); s != nil {
 		s.LVIPHits++
 	}
 }
 
-// LVIPMispredict implements core.Probe.
-func (p *Profiler) LVIPMispredict(pc uint64, penaltyCycles, squashed uint64) {
+// Rollback implements core.Observer.
+func (p *Profiler) Rollback(now uint64, thread int, pc uint64, threads int, penalty, squashed uint64) {
 	if s := p.site(pc); s != nil {
 		s.LVIPMispredicts++
-		s.RollbackCycles += penaltyCycles
+		s.RollbackCycles += penalty
 		s.SquashedUops += squashed
 	}
 }
 
-// Cycle implements core.Probe.
-func (p *Profiler) Cycle(comp core.CycleComponent) {
-	if int(comp) < len(p.cpi) {
-		p.cpi[comp]++
+// EndCycle implements core.Observer: it charges the cycle to its CPI-stack
+// component and one catchup cycle to each catching-up group's divergence
+// site.
+func (p *Profiler) EndCycle(e core.CycleEnd) {
+	if int(e.Comp) < len(p.cpi) {
+		p.cpi[e.Comp]++
 	}
 	p.cycles++
+	for _, pc := range e.Catchup {
+		if s := p.site(pc); s != nil {
+			s.CatchupCycles++
+		}
+	}
 }
 
 // Snapshot renders the accumulated attribution as a Profile. Sites are

@@ -52,7 +52,7 @@ func runProfiled(t *testing.T) (*core.Stats, *Profile) {
 		t.Fatal(err)
 	}
 	pr := New()
-	c.AttachProbe(pr)
+	c.Attach(pr)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -181,11 +181,10 @@ func TestMergeDoubles(t *testing.T) {
 // past the cap pool into the overflow cell.
 func TestProfilerOverflowAndPC0(t *testing.T) {
 	p := NewWithCap(1)
-	p.Diverge(0, 2)    // PC 0: skipped
-	p.Diverge(0x10, 2) // the one tracked site
-	p.Diverge(0x20, 2) // past the cap: pooled
-	p.CatchupCycle(0x20)
-	p.Cycle(core.CycBase)
+	p.Diverge(0, 0, 0, 2)    // PC 0: skipped
+	p.Diverge(0, 0, 0x10, 2) // the one tracked site
+	p.Diverge(0, 0, 0x20, 2) // past the cap: pooled
+	p.EndCycle(core.CycleEnd{Comp: core.CycBase, Catchup: []uint64{0x20}})
 	s := p.Snapshot()
 	if len(s.Sites) != 1 || s.Sites[0].PC != 0x10 || s.Sites[0].Divergences != 1 {
 		t.Errorf("sites = %+v", s.Sites)
@@ -203,12 +202,12 @@ func TestProfilerOverflowAndPC0(t *testing.T) {
 // drops, and Merge sums edge counts across shards.
 func TestRemergeEdges(t *testing.T) {
 	p := NewWithCap(2)
-	p.Remerge(0, 0x1020, 1) // unknown divergence site
-	p.Remerge(0x1010, 0, 1) // unknown remerge target
-	p.Remerge(0x1010, 0x1020, 3)
-	p.Remerge(0x1000, 0x1020, 1)
-	p.Remerge(0x1010, 0x1020, 2) // same edge again
-	p.Remerge(0x1030, 0x1040, 1) // third distinct edge: over the cap
+	p.Remerge(0, 0, 0, 0x1020, 2, 1) // unknown divergence site
+	p.Remerge(0, 0, 0x1010, 0, 2, 1) // unknown remerge target
+	p.Remerge(0, 0, 0x1010, 0x1020, 2, 3)
+	p.Remerge(0, 0, 0x1000, 0x1020, 2, 1)
+	p.Remerge(0, 0, 0x1010, 0x1020, 2, 2) // same edge again
+	p.Remerge(0, 0, 0x1030, 0x1040, 2, 1) // third distinct edge: over the cap
 	s := p.Snapshot()
 	want := []RemergeEdge{
 		{DivergePC: 0x1000, RemergePC: 0x1020, Count: 1},

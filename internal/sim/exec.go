@@ -224,14 +224,16 @@ func (t Task) Execute() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	var observers []core.Observer
 	if t.Trace != nil {
-		c.Attach(t.Trace, t.SampleEvery)
+		observers = append(observers, core.NewEventStream(t.Trace, t.SampleEvery))
 	}
 	var profiler *prof.Profiler
 	if t.Attribution {
 		profiler = prof.New()
-		c.AttachProbe(profiler)
+		observers = append(observers, profiler)
 	}
+	c.Attach(observers...)
 	leave = t.phase("run")
 	st, err := c.Run()
 	leave()
