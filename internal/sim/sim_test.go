@@ -2,10 +2,13 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mmt/internal/core"
+	"mmt/internal/prog"
 	"mmt/internal/workloads"
 )
 
@@ -367,4 +370,37 @@ func TestRemergeWithin512(t *testing.T) {
 	if m["ammp"] < 0.5 {
 		t.Errorf("ammp remerge-within-512 = %f", m["ammp"])
 	}
+}
+
+// TestFinishedOutcomeReleasesCore: an outcome keeps its statistics, not
+// the core that produced them (about 2 MB each), so a memo or job table
+// full of outcomes does not pin a core per entry. The simulated system is
+// the sentinel: the core holds it, so once it is collected, so is the
+// core.
+func TestFinishedOutcomeReleasesCore(t *testing.T) {
+	app, _ := workloads.ByName("libsvm")
+	collected := make(chan struct{})
+	task := Task{App: app, Preset: PresetMMTFXR, Threads: 2, Build: func() (*prog.System, error) {
+		sys, err := app.Build(2, PresetMMTFXR.IdenticalInputs())
+		if err == nil {
+			runtime.SetFinalizer(sys, func(*prog.System) { close(collected) })
+		}
+		return sys, err
+	}}
+	o, err := task.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if o.Result.Stats.Cycles == 0 {
+				t.Error("outcome lost its statistics")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the core behind a finished outcome is still reachable")
 }
