@@ -9,7 +9,7 @@
 //
 // The recorder implements obs.Recorder, so it fans into the existing
 // nil-safe Recorder seams (the runner pool's job timeline, the simulator
-// core's event/sample hooks) via obs.Multi without any producer changes.
+// core's EventStream) via obs.Multi without any producer changes.
 // Recording copies fixed-size values into a preallocated slot under a
 // mutex: no allocation, no I/O, no encoding — the ring costs the hot path
 // one lock and a struct copy. Every method on a nil *Recorder is a no-op.
@@ -119,11 +119,9 @@ const DefaultCapacity = 4096
 type Recorder struct {
 	service string
 
-	mu      sync.Mutex
-	buf     []Entry // preallocated to capacity; len grows to cap then stays
-	next    int     // overwrite cursor once full
-	seq     uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring *obs.Ring[Entry]
+	seq  uint64
 }
 
 // compile-time check: the ring slots straight into the obs seams.
@@ -135,7 +133,7 @@ func New(service string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{service: service, buf: make([]Entry, 0, capacity)}
+	return &Recorder{service: service, ring: obs.NewRing[Entry](capacity)}
 }
 
 // Service returns the ring's service label ("" on nil).
@@ -152,13 +150,7 @@ func (r *Recorder) record(e Entry) {
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % len(r.buf)
-		r.dropped++
-	}
+	r.ring.Push(e)
 	r.mu.Unlock()
 }
 
@@ -263,7 +255,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.ring.Len()
 }
 
 // Dropped returns how many entries the ring has overwritten.
@@ -273,7 +265,7 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.ring.Dropped()
 }
 
 // Entries returns the ring's contents oldest-first.
@@ -283,10 +275,7 @@ func (r *Recorder) Entries() []Entry {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Entry, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.ring.Snapshot()
 }
 
 // Snapshot assembles a Dump of the current ring state.

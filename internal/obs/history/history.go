@@ -42,8 +42,7 @@ type Sampler struct {
 	every   time.Duration
 
 	mu   sync.Mutex
-	buf  []Sample
-	next int
+	ring *obs.Ring[Sample]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -64,7 +63,7 @@ func New(service string, reg *obs.Registry, every time.Duration, capacity int) *
 		reg:     reg,
 		service: service,
 		every:   every,
-		buf:     make([]Sample, 0, capacity),
+		ring:    obs.NewRing[Sample](capacity),
 		stop:    make(chan struct{}),
 	}
 	h.sample()
@@ -103,12 +102,7 @@ func (h *Sampler) sample() {
 	}
 	s := Sample{UNS: time.Now().UnixNano(), Values: vals}
 	h.mu.Lock()
-	if len(h.buf) < cap(h.buf) {
-		h.buf = append(h.buf, s)
-	} else {
-		h.buf[h.next] = s
-		h.next = (h.next + 1) % len(h.buf)
-	}
+	h.ring.Push(s)
 	h.mu.Unlock()
 }
 
@@ -119,10 +113,7 @@ func (h *Sampler) Samples() []Sample {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]Sample, 0, len(h.buf))
-	out = append(out, h.buf[h.next:]...)
-	out = append(out, h.buf[:h.next]...)
-	return out
+	return h.ring.Snapshot()
 }
 
 // Close stops the sampler. Idempotent; the collected samples stay

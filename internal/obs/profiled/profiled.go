@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"mmt/internal/obs"
 )
 
 // Options configures a Profiler.
@@ -66,7 +68,7 @@ type Profiler struct {
 	opts    Options
 
 	mu     sync.Mutex
-	caps   map[string][]Capture // kind -> ring, oldest first
+	caps   map[string]*obs.Ring[Capture] // one ring per kind
 	nextID int
 
 	stop     chan struct{}
@@ -96,9 +98,12 @@ func New(service string, opts Options) *Profiler {
 	p := &Profiler{
 		service: service,
 		opts:    opts,
-		caps:    make(map[string][]Capture),
+		caps:    make(map[string]*obs.Ring[Capture], len(Kinds)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	for _, k := range Kinds {
+		p.caps[k] = obs.NewRing[Capture](opts.Capacity)
 	}
 	p.snapshot("heap")
 	p.snapshot("goroutine")
@@ -188,11 +193,7 @@ func (p *Profiler) store(c Capture) {
 	p.nextID++
 	c.ID = p.nextID
 	c.Size = len(c.bytes)
-	ring := append(p.caps[c.Kind], c)
-	if len(ring) > p.opts.Capacity {
-		ring = ring[len(ring)-p.opts.Capacity:]
-	}
-	p.caps[c.Kind] = ring
+	p.caps[c.Kind].Push(c)
 	p.mu.Unlock()
 }
 
@@ -209,7 +210,7 @@ func (p *Profiler) Captures(kind string) []Capture {
 		if kind != "" && k != kind {
 			continue
 		}
-		out = append(out, p.caps[k]...)
+		out = append(out, p.caps[k].Snapshot()...)
 	}
 	return out
 }
@@ -219,13 +220,9 @@ func (p *Profiler) Get(id int) (Capture, bool) {
 	if p == nil {
 		return Capture{}, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, ring := range p.caps { // mmtvet:ok — id lookup, order-free
-		for _, c := range ring {
-			if c.ID == id {
-				return c, true
-			}
+	for _, c := range p.Captures("") {
+		if c.ID == id {
+			return c, true
 		}
 	}
 	return Capture{}, false

@@ -29,6 +29,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mmt/internal/obs"
 )
 
 // Header is the propagation header name (W3C trace context).
@@ -190,9 +192,7 @@ type Tracer struct {
 	service string
 
 	mu       sync.Mutex
-	buf      []Record
-	next     int // overwrite cursor once the ring is full
-	dropped  uint64
+	ring     *obs.Ring[Record]
 	observer func(Record)
 }
 
@@ -203,7 +203,7 @@ func NewTracer(service string, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{service: service, buf: make([]Record, 0, capacity)}
+	return &Tracer{service: service, ring: obs.NewRing[Record](capacity)}
 }
 
 // Service returns the tracer's service label.
@@ -252,13 +252,7 @@ func (t *Tracer) SetObserver(fn func(Record)) {
 func (t *Tracer) push(r Record) {
 	r.Service = t.service
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, r)
-	} else {
-		t.buf[t.next] = r
-		t.next = (t.next + 1) % len(t.buf)
-		t.dropped++
-	}
+	t.ring.Push(r)
 	fn := t.observer
 	t.mu.Unlock()
 	if fn != nil {
@@ -273,7 +267,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // Len returns how many spans the ring currently holds.
@@ -283,19 +277,24 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.ring.Len()
 }
 
-// Records returns the ring's spans for one trace id (all of them for "").
+// Records returns the ring's spans for one trace id (all of them for ""),
+// oldest first.
 func (t *Tracer) Records(traceID string) []Record {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	all := t.ring.Snapshot()
+	t.mu.Unlock()
+	if traceID == "" {
+		return all
+	}
 	out := make([]Record, 0, 16)
-	for _, r := range t.buf {
-		if traceID == "" || r.TraceID == traceID {
+	for _, r := range all {
+		if r.TraceID == traceID {
 			out = append(out, r)
 		}
 	}
