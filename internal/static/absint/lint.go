@@ -47,12 +47,6 @@ func Lint(r *Result) []static.Finding {
 	return out
 }
 
-// LintProgram is the convenience entry: analyze, interpret with default
-// options, lint.
-func LintProgram(p *prog.Program) []static.Finding {
-	return Lint(Run(static.Analyze(p), Options{}))
-}
-
 // lintOOB flags accesses whose entire address interval misses the mapped
 // data space. Intervals touching the space (or too wide to bound) pass:
 // value-set analysis over-approximates, so only a certain miss is a
