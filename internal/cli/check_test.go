@@ -162,29 +162,40 @@ func TestRunCheckJSON(t *testing.T) {
 
 // TestRunCheckAgainstProfile drives the full static-vs-dynamic loop
 // through the CLI: simulate with attribution, then cross-validate the
-// written profile. Loop-carried remerges are informational, so a seed
-// workload must come back clean at the default warning threshold.
+// written profile. Loop-carried remerges are informational, so libsvm
+// must come back clean at the default warning threshold; twolf may warn
+// (a site that diverged once and never remerged) but must have no
+// violation.
 func TestRunCheckAgainstProfile(t *testing.T) {
-	profPath := filepath.Join(t.TempDir(), "run.json")
-	var out bytes.Buffer
-	if err := RunSim([]string{"-app", "libsvm", "-preset", "MMT-FXR", "-threads", "2", "-profile-out", profPath}, &out); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-	out.Reset()
-	if err := RunCheck([]string{"-app", "libsvm", "-against-profile", profPath, "-report=false"}, &out); err != nil {
-		t.Fatalf("cross-validation failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "cross-validation") {
-		t.Errorf("no cross-validation output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "spearman") {
-		t.Errorf("no predicted-vs-observed correlation line:\n%s", out.String())
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		app    string
+		failOn string
+	}{
+		{"libsvm", "warning"},
+		{"twolf", "error"},
+	} {
+		profPath := filepath.Join(dir, tc.app+".json")
+		var out bytes.Buffer
+		if err := RunSim([]string{"-app", tc.app, "-preset", "MMT-FXR", "-threads", "2", "-profile-out", profPath}, &out); err != nil {
+			t.Fatalf("%s sim: %v", tc.app, err)
+		}
+		out.Reset()
+		if err := RunCheck([]string{"-app", tc.app, "-against-profile", profPath, "-report=false", "-fail-on", tc.failOn}, &out); err != nil {
+			t.Fatalf("%s cross-validation failed: %v\n%s", tc.app, err, out.String())
+		}
+		if !strings.Contains(out.String(), "cross-validation") {
+			t.Errorf("%s: no cross-validation output:\n%s", tc.app, out.String())
+		}
+		if !strings.Contains(out.String(), "spearman") {
+			t.Errorf("%s: no predicted-vs-observed correlation line:\n%s", tc.app, out.String())
+		}
 	}
 
 	// The -min-correlation gate: an unattainable floor must fail the run
 	// with a message naming the observed coefficient.
-	out.Reset()
-	err := RunCheck([]string{"-app", "libsvm", "-against-profile", profPath, "-report=false", "-min-correlation", "1.01"}, &out)
+	var out bytes.Buffer
+	err := RunCheck([]string{"-app", "libsvm", "-against-profile", filepath.Join(dir, "libsvm.json"), "-report=false", "-min-correlation", "1.01"}, &out)
 	if err == nil {
 		t.Fatal("-min-correlation 1.01 accepted")
 	}
