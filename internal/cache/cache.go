@@ -58,7 +58,8 @@ type line struct {
 // replacement. It is a tag store only.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set s holds lines[s*Ways : (s+1)*Ways]
+	setMask  uint64
 	lruClock uint64
 	Stats    Stats
 }
@@ -69,26 +70,20 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, cfg.sets())}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
+	sets := cfg.sets()
+	return &Cache{cfg: cfg, lines: make([]line, sets*cfg.Ways), setMask: uint64(sets - 1)}
 }
-
-// LineBytes returns the block size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
 // lineAddr reduces an address to its line-aligned form.
 func (c *Cache) lineAddr(addr uint64) uint64 {
 	return addr &^ uint64(c.cfg.LineBytes-1)
 }
 
-func (c *Cache) locate(addr uint64) (setIdx int, tag uint64) {
+// locate returns the lines of addr's set and the tag addr carries there.
+func (c *Cache) locate(addr uint64) (set []line, tag uint64) {
 	la := addr / uint64(c.cfg.LineBytes)
-	setIdx = int(la & uint64(len(c.sets)-1))
-	tag = la / uint64(len(c.sets))
-	return
+	s := int(la&c.setMask) * c.cfg.Ways
+	return c.lines[s : s+c.cfg.Ways], la / (c.setMask + 1)
 }
 
 // Result describes the outcome of one access.
@@ -102,9 +97,8 @@ type Result struct {
 // Access performs a read (write=false) or write (write=true) of addr,
 // allocating on miss and evicting LRU.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	set, tag := c.locate(addr)
+	lines, tag := c.locate(addr)
 	c.lruClock++
-	lines := c.sets[set]
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lru = c.lruClock
@@ -141,8 +135,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 
 // Probe reports whether addr is resident without touching LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.locate(addr)
-	for _, l := range c.sets[set] {
+	lines, tag := c.locate(addr)
+	for _, l := range lines {
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -166,9 +160,6 @@ type MSHR struct {
 func NewMSHR(n int) *MSHR {
 	return &MSHR{ready: make([]uint64, n), addr: make([]uint64, n)}
 }
-
-// Size returns the number of registers.
-func (m *MSHR) Size() int { return len(m.ready) }
 
 // Allocate requests service of a miss to lineAddr issued at cycle now with
 // the given service latency, returning the cycle at which the fill

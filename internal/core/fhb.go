@@ -19,9 +19,6 @@ func NewFHB(n int) *FHB {
 	return &FHB{entries: make([]uint64, n), valid: make([]bool, n)}
 }
 
-// Size returns the CAM capacity.
-func (f *FHB) Size() int { return len(f.entries) }
-
 // Record inserts a taken-branch target, overwriting the oldest entry.
 func (f *FHB) Record(target uint64) {
 	f.entries[f.next] = target

@@ -51,9 +51,6 @@ type Capture struct {
 	bytes []byte
 }
 
-// Bytes returns the raw (gzipped protobuf) pprof profile.
-func (c Capture) Bytes() []byte { return c.bytes }
-
 // IndexResponse is the GET /v1/debug/profiles body.
 type IndexResponse struct {
 	Service  string    `json:"service,omitempty"`
