@@ -200,11 +200,11 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 	wall := time.Since(start)
 
 	var durs []time.Duration
-	failed, simulated, cached, dedupJoins := 0, 0, 0, 0
+	failed := int(failures.Value())
+	simulated, cached, dedupJoins := 0, 0, 0
 	var firstErr error
 	for _, r := range results {
 		if r.err != nil {
-			failed++
 			if firstErr == nil {
 				firstErr = r.err
 			}

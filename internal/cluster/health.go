@@ -41,9 +41,6 @@ func (rt *Router) probeAll() {
 		}(b)
 	}
 	wg.Wait()
-	if rt.met == nil {
-		return
-	}
 	var healthy, draining, down int64
 	for _, b := range rt.backends {
 		switch st, _ := b.snapshotState(); st {
@@ -110,7 +107,7 @@ func (rt *Router) probeOne(b *backend) {
 		// instead of waiting out the placement TTL.
 		rt.unplaceBackend(b)
 	}
-	if state == stateDown && rt.met != nil {
+	if state == stateDown {
 		rt.met.probeFailures.Inc()
 	}
 }
@@ -183,9 +180,7 @@ func (rt *Router) unplaceBackend(b *backend) {
 			delete(rt.placements, key)
 		}
 	}
-	if rt.met != nil {
-		rt.met.placements.Set(int64(len(rt.placements)))
-	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	rt.mu.Unlock()
 }
 
@@ -198,8 +193,6 @@ func (rt *Router) sweepPlacements() {
 			delete(rt.placements, key)
 		}
 	}
-	if rt.met != nil {
-		rt.met.placements.Set(int64(len(rt.placements)))
-	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	rt.mu.Unlock()
 }

@@ -3,7 +3,7 @@ package cluster
 import "mmt/internal/obs"
 
 // routerMetrics are the router's instruments, registered under
-// mmt_cluster_* when the router is given a registry.
+// mmt_cluster_* in the router's registry (the caller's, or a private one).
 type routerMetrics struct {
 	routed        *obs.Counter
 	rerouted      *obs.Counter

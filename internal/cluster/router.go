@@ -48,7 +48,10 @@ type RouterOptions struct {
 	// uses a client without a global timeout (per-request contexts bound
 	// probes; submits inherit the caller's context).
 	HTTPClient *http.Client
-	// Metrics, when non-nil, receives the mmt_cluster_* instruments.
+	// Metrics, when non-nil, exports the mmt_cluster_* instruments at
+	// GET /metrics. Nil keeps them in a private registry; /v1/cluster
+	// reads the same counters either way. One registry serves at most one
+	// router.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records the router's hop spans (submit,
 	// per-try route/forward, job proxying) and serves them at GET
@@ -152,19 +155,10 @@ type Router struct {
 	byName     map[string]*backend
 	jobs       map[string]jobRoute
 	placements map[string]placement
-	counts     routerCounts
 
 	stop      chan struct{}
 	probers   sync.WaitGroup
 	closeOnce sync.Once
-}
-
-// routerCounts are the router's own counters (guarded by Router.mu).
-type routerCounts struct {
-	routed   uint64 // submissions forwarded to a backend
-	rerouted uint64 // placements that skipped a draining/down ring owner
-	stolen   uint64 // submissions diverted off a hot owner to an idle node
-	errors   uint64 // forwarding failures (transport errors, proxy errors)
 }
 
 // NewRouter builds the router, probes every backend once so routing
@@ -209,9 +203,11 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if rt.hc == nil {
 		rt.hc = &http.Client{} // no global timeout: SSE proxying streams indefinitely
 	}
-	if opts.Metrics != nil {
-		rt.met = newRouterMetrics(opts.Metrics)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	rt.met = newRouterMetrics(reg)
 	for _, n := range ring.Nodes() {
 		target, err := url.Parse(n.URL)
 		if err != nil {
@@ -223,7 +219,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		b.proxy = httputil.NewSingleHostReverseProxy(target)
 		b.proxy.FlushInterval = -1 // SSE: flush every chunk
 		b.proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			rt.countError()
+			rt.met.errors.Inc()
 			writeError(w, http.StatusBadGateway, 0, "backend %s: %v", b.node.Name, err)
 		}
 		rt.backends = append(rt.backends, b)
@@ -276,15 +272,6 @@ func (rt *Router) routes() *http.ServeMux {
 // ServeHTTP serves the fleet API.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
-}
-
-func (rt *Router) countError() {
-	rt.mu.Lock()
-	rt.counts.errors++
-	rt.mu.Unlock()
-	if rt.met != nil {
-		rt.met.errors.Inc()
-	}
 }
 
 // routeInfo describes how a placement was chosen.
@@ -342,9 +329,7 @@ func (rt *Router) place(key string) (*backend, routeInfo, error) {
 		}
 	}
 	rt.placements[key] = placement{b: chosen, at: now}
-	if rt.met != nil {
-		rt.met.placements.Set(int64(len(rt.placements)))
-	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	return chosen, info, nil
 }
 
@@ -425,9 +410,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.recordSubmit(b, st.ID, st.TraceID, info)
 			sub.SetAttr("job", st.ID)
 			sub.SetAttr("node", b.node.Name)
-			if rt.met != nil {
-				rt.met.submitLatency.ObserveWithExemplar(time.Since(start), st.TraceID)
-			}
+			rt.met.submitLatency.ObserveWithExemplar(time.Since(start), st.TraceID)
 			rt.opts.Flight.Admit(st.ID, routeVerdict(b.node.Name, info), st.TraceID)
 			rt.log.Info("job routed", "job", st.ID, "node", b.node.Name,
 				"pinned", info.pinned, "rerouted", info.rerouted, "stolen", info.stolen,
@@ -450,7 +433,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // client went away mid-forward
 		}
-		rt.countError()
+		rt.met.errors.Inc()
 		b.markDown(err)
 		rt.dropPlacement(key, b)
 		rt.opts.Flight.MarkErr("backend down, re-placing: "+b.node.Name, err.Error())
@@ -480,29 +463,20 @@ func routeVerdict(node string, info routeInfo) string {
 func (rt *Router) recordSubmit(b *backend, jobID, trace string, info routeInfo) {
 	rt.mu.Lock()
 	rt.jobs[jobID] = jobRoute{b: b, trace: trace}
-	rt.counts.routed++
+	rt.mu.Unlock()
+	rt.met.routed.Inc()
 	if info.rerouted {
-		rt.counts.rerouted++
+		rt.met.rerouted.Inc()
 	}
 	if info.stolen {
-		rt.counts.stolen++
+		rt.met.stolen.Inc()
 	}
-	rt.mu.Unlock()
 	b.mu.Lock()
 	b.routed++
 	if info.stolen {
 		b.stolen++
 	}
 	b.mu.Unlock()
-	if rt.met != nil {
-		rt.met.routed.Inc()
-		if info.rerouted {
-			rt.met.rerouted.Inc()
-		}
-		if info.stolen {
-			rt.met.stolen.Inc()
-		}
-	}
 }
 
 // dropPlacement removes key's placement if it still points at b.
@@ -659,11 +633,11 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 		UptimeMS: time.Since(rt.start).Milliseconds(),
 		Fleet:    fleet,
 	}
+	cs.Routed = rt.met.routed.Value()
+	cs.Rerouted = rt.met.rerouted.Value()
+	cs.Stolen = rt.met.stolen.Value()
+	cs.Errors = rt.met.errors.Value()
 	rt.mu.Lock()
-	cs.Routed = rt.counts.routed
-	cs.Rerouted = rt.counts.rerouted
-	cs.Stolen = rt.counts.stolen
-	cs.Errors = rt.counts.errors
 	cs.Placements = len(rt.placements)
 	rt.mu.Unlock()
 	for i, b := range rt.backends {

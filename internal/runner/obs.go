@@ -6,9 +6,8 @@ import (
 	"mmt/internal/obs"
 )
 
-// poolMetrics holds the registry handles the pool updates while running;
-// nil when Options.Metrics is unset, so instrumented sites cost one nil
-// check.
+// poolMetrics holds the registry handles the pool counts with; Summary
+// and the progress line read them back.
 type poolMetrics struct {
 	scheduled    *obs.Counter
 	executed     *obs.Counter
@@ -74,8 +73,8 @@ func (p *Pool) utilLoop() {
 		case <-p.stopUtil:
 			return
 		case <-ticker.C:
+			busy := p.met.busy.Value()
 			p.mu.Lock()
-			busy := p.stats.busyWorkers
 			queued := len(p.queue)
 			p.mu.Unlock()
 			ts := p.sinceStart(time.Now())

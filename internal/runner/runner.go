@@ -2,10 +2,11 @@
 // simulation tasks across a bounded worker pool with cancellation, per-job
 // timeouts, panic capture and bounded retry, layers a persistent on-disk
 // result cache over the in-memory memo, and reports live progress plus a
-// post-run summary. With Options.Metrics it feeds a live metrics registry
-// (cache hit/miss counters, worker utilization, queue/run timings) for the
-// -metrics-addr endpoint, and with Options.Trace it emits a per-worker
-// job-execution timeline in the obs event stream.
+// post-run summary. Its counters live in a metrics registry (cache hit/miss
+// counters, worker utilization, queue/run timings) that the summary reads
+// and Options.Metrics exports for the -metrics-addr endpoint, and with
+// Options.Trace it emits a per-worker job-execution timeline in the obs
+// event stream.
 //
 // The Pool implements sim.Exec, so the experiment drivers in internal/sim
 // are oblivious to whether they run serially or across N workers: they
@@ -83,10 +84,12 @@ type Options struct {
 	Progress io.Writer
 	// ProgressEvery is the live-progress refresh period (default 2s).
 	ProgressEvery time.Duration
-	// Metrics, when non-nil, receives the pool's live counters and
-	// gauges — scheduled/executed jobs, cache hits and misses, failures,
-	// retries, busy workers, queue depth, and queue/run wall-clock
-	// timings — for the -metrics-addr /metrics endpoint.
+	// Metrics, when non-nil, exports the pool's counters and gauges —
+	// scheduled/executed jobs, cache hits and misses, failures, retries,
+	// busy workers, queue depth, and queue/run wall-clock timings — for
+	// the -metrics-addr /metrics endpoint. Nil keeps them in a private
+	// registry; Summary reads the same instruments either way. One
+	// registry serves at most one pool.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives the job-execution timeline: one span
 	// per executed job on its worker's track, instants for cache hits and
@@ -139,7 +142,7 @@ type Pool struct {
 	ctx   context.Context
 	opts  Options
 	cache *Cache
-	met   *poolMetrics // nil when Options.Metrics is unset
+	met   *poolMetrics
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -147,7 +150,7 @@ type Pool struct {
 	jobs     map[string]*job
 	closed   bool
 	canceled bool
-	stats    counters
+	slowest  []JobTiming // the maxSlowest longest executed jobs, longest first
 
 	start        time.Time
 	wall         time.Duration
@@ -156,18 +159,6 @@ type Pool struct {
 	stopProgress chan struct{}
 	stopUtil     chan struct{}
 	closeOnce    sync.Once
-}
-
-// counters aggregates the summary statistics (guarded by Pool.mu).
-type counters struct {
-	executed    int // simulations actually run to completion or failure
-	cacheHits   int // jobs served from the persistent cache
-	failed      int // jobs that finished with an error
-	retries     int // extra attempts consumed
-	invalidated int // corrupt/mismatched cache entries deleted
-	busyWorkers int // workers currently inside run()
-	simTime     time.Duration
-	timings     []JobTiming
 }
 
 // compile-time check: the pool is a drop-in executor for the sim drivers.
@@ -195,17 +186,17 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 		stopUtil:     make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	if opts.Metrics != nil {
-		p.met = newPoolMetrics(opts.Metrics)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	p.met = newPoolMetrics(reg)
 	if opts.CacheDir != "" {
 		c, err := OpenCache(opts.CacheDir, opts.CacheMaxBytes)
 		if err != nil {
 			return nil, err
 		}
-		if p.met != nil {
-			c.SetEvictHook(p.met.evictions.Inc)
-		}
+		c.SetEvictHook(p.met.evictions.Inc)
 		p.cache = c
 	}
 	if opts.RemoteTimeout <= 0 {
@@ -286,10 +277,8 @@ func (p *Pool) ensure(t sim.Task) (*job, error) {
 	j := &job{task: t, key: key, done: make(chan struct{}), enqueuedAt: time.Now()}
 	p.jobs[key] = j
 	p.queue = append(p.queue, j)
-	if p.met != nil {
-		p.met.scheduled.Inc()
-		p.met.queued.Add(1)
-	}
+	p.met.scheduled.Inc()
+	p.met.queued.Add(1)
 	p.cond.Signal()
 	return j, nil
 }
@@ -309,20 +298,12 @@ func (p *Pool) worker(id int) {
 		}
 		j := p.queue[0]
 		p.queue = p.queue[1:]
-		p.stats.busyWorkers++
 		p.mu.Unlock()
-		if p.met != nil {
-			p.met.queued.Add(-1)
-			p.met.queueTime.Observe(time.Since(j.enqueuedAt))
-			p.met.busy.Add(1)
-		}
+		p.met.queued.Add(-1)
+		p.met.queueTime.Observe(time.Since(j.enqueuedAt))
+		p.met.busy.Add(1)
 		p.run(j, id)
-		p.mu.Lock()
-		p.stats.busyWorkers--
-		p.mu.Unlock()
-		if p.met != nil {
-			p.met.busy.Add(-1)
-		}
+		p.met.busy.Add(-1)
 	}
 }
 
@@ -338,11 +319,8 @@ func (p *Pool) watchCancel() {
 	p.canceled = true
 	failed := p.queue
 	p.queue = nil
-	p.stats.failed += len(failed)
-	if p.met != nil {
-		p.met.queued.Set(0)
-		p.met.failed.Add(uint64(len(failed)))
-	}
+	p.met.queued.Set(0)
+	p.met.failed.Add(uint64(len(failed)))
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	// Resolve the failed jobs outside the lock: the completion hook runs
@@ -390,12 +368,7 @@ func (p *Pool) run(j *job, wid int) {
 	if p.cache != nil {
 		out, ok, invalidated := p.cache.load(j.key, j.task)
 		if invalidated {
-			p.mu.Lock()
-			p.stats.invalidated++
-			p.mu.Unlock()
-			if p.met != nil {
-				p.met.invalidated.Inc()
-			}
+			p.met.invalidated.Inc()
 		}
 		if ok {
 			csp.SetAttr("local", "hit")
@@ -406,9 +379,7 @@ func (p *Pool) run(j *job, wid int) {
 			return
 		}
 		csp.SetAttr("local", "miss")
-		if p.met != nil {
-			p.met.cacheMisses.Inc()
-		}
+		p.met.cacheMisses.Inc()
 	} else {
 		csp.SetAttr("local", "off")
 	}
@@ -447,12 +418,7 @@ func (p *Pool) run(j *job, wid int) {
 			break
 		}
 		retries++
-		p.mu.Lock()
-		p.stats.retries++
-		p.mu.Unlock()
-		if p.met != nil {
-			p.met.retries.Inc()
-		}
+		p.met.retries.Inc()
 		p.traceEvent(obs.Event{TS: p.sinceStart(time.Now()), Kind: obs.EvJobRetry,
 			Track: int32(wid), Name: j.task.Name(), Trace: j.task.TraceID})
 	}
@@ -508,9 +474,7 @@ func (p *Pool) storeOutcome(j *job, out *sim.Outcome, sc span.SpanContext) {
 		}
 		return
 	}
-	if p.met != nil {
-		p.met.remoteStores.Inc()
-	}
+	p.met.remoteStores.Inc()
 }
 
 // remoteLoad consults the remote shared cache tier after a local miss.
@@ -525,24 +489,18 @@ func (p *Pool) remoteLoad(j *job, sc span.SpanContext) (*sim.Outcome, bool) {
 	defer cancel()
 	raw, ok, err := p.opts.RemoteCache.Load(ctx, j.key)
 	if err != nil || !ok {
-		if p.met != nil {
-			p.met.remoteMisses.Inc()
-		}
+		p.met.remoteMisses.Inc()
 		return nil, false
 	}
 	out, derr := decodeEntry(raw, j.key, j.task)
 	if derr != nil {
-		if p.met != nil {
-			p.met.remoteMisses.Inc()
-		}
+		p.met.remoteMisses.Inc()
 		return nil, false
 	}
 	if p.cache != nil {
 		p.cache.PutRaw(j.key, raw) //nolint:errcheck // warming the local tier is best-effort
 	}
-	if p.met != nil {
-		p.met.remoteHits.Inc()
-	}
+	p.met.remoteHits.Inc()
 	return out, true
 }
 
@@ -609,32 +567,19 @@ func (p *Pool) notePanic(t sim.Task, key string, r any) {
 
 // finish records a job's outcome and wakes its waiters.
 func (p *Pool) finish(j *job, out *sim.Outcome, fromCache bool, dur time.Duration, err error) {
-	p.mu.Lock()
 	switch {
 	case err != nil:
-		p.stats.failed++
+		p.met.failed.Inc()
 	case fromCache:
-		p.stats.cacheHits++
+		p.met.cacheHits.Inc()
 	default:
-		p.stats.executed++
+		p.met.executed.Inc()
 	}
 	if !fromCache && dur > 0 {
-		p.stats.simTime += dur
-		p.stats.timings = append(p.stats.timings, JobTiming{Name: j.task.Name(), Duration: dur})
-	}
-	p.mu.Unlock()
-	if p.met != nil {
-		switch {
-		case err != nil:
-			p.met.failed.Inc()
-		case fromCache:
-			p.met.cacheHits.Inc()
-		default:
-			p.met.executed.Inc()
-		}
-		if !fromCache && dur > 0 {
-			p.met.runTime.Observe(dur)
-		}
+		p.met.runTime.Observe(dur)
+		p.mu.Lock()
+		p.noteSlowLocked(JobTiming{Name: j.task.Name(), Duration: dur})
+		p.mu.Unlock()
 	}
 	j.out, j.err = out, err
 	if p.opts.OnComplete != nil {
@@ -687,7 +632,7 @@ func (p *Pool) progressLine() string {
 	if total == 0 {
 		return ""
 	}
-	done := p.stats.executed + p.stats.cacheHits + p.stats.failed
+	executed, cached, failed := p.met.executed.Value(), p.met.cacheHits.Value(), p.met.failed.Value()
 	return fmt.Sprintf("runner: %d/%d jobs done (%d simulated, %d cached, %d failed)",
-		done, total, p.stats.executed, p.stats.cacheHits, p.stats.failed)
+		executed+cached+failed, total, executed, cached, failed)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -427,6 +428,45 @@ func TestOnCompleteHook(t *testing.T) {
 		t.Errorf("warm completion not marked FromCache: %+v", c)
 	}
 	p2.Close()
+}
+
+// TestSummaryKeepsFiveSlowest runs more jobs than the summary names and
+// checks that Slowest holds exactly the maxSlowest longest executions,
+// longest first, as reported to OnComplete.
+func TestSummaryKeepsFiveSlowest(t *testing.T) {
+	var mu sync.Mutex
+	var all []JobTiming
+	p := newPool(t, context.Background(), Options{Workers: 2, OnComplete: func(c Completion) {
+		mu.Lock()
+		all = append(all, JobTiming{Name: c.Name, Duration: c.Dur})
+		mu.Unlock()
+	}})
+	apps := []string{"libsvm", "twolf", "vpr", "ammp"}
+	const jobs = 9
+	var tasks []sim.Task
+	for i := 0; i < jobs; i++ {
+		tasks = append(tasks, cheapTask(t, apps[i%len(apps)], uint64(2000+1500*i)))
+	}
+	p.Schedule(tasks...)
+	for _, task := range tasks {
+		if _, err := p.Do(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	if len(all) != jobs {
+		t.Fatalf("%d completions, want %d", len(all), jobs)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Duration > all[j].Duration })
+	s := p.Summary()
+	if s.Executed != jobs || len(s.Slowest) != maxSlowest {
+		t.Fatalf("summary executed %d, names %d slowest; want %d and %d", s.Executed, len(s.Slowest), jobs, maxSlowest)
+	}
+	for i, jt := range s.Slowest {
+		if jt != all[i] {
+			t.Errorf("slowest[%d] = %v, want %v (all: %v)", i, jt, all[i], all)
+		}
+	}
 }
 
 func mustApp(t *testing.T, name string) workloads.App {

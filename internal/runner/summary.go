@@ -33,29 +33,41 @@ const maxSlowest = 5
 // Summary snapshots the pool's counters. Call it after Close for a final
 // wall-clock figure.
 func (p *Pool) Summary() Summary {
+	simTime, _ := p.met.runTime.Total()
+	s := Summary{
+		Executed:    int(p.met.executed.Value()),
+		CacheHits:   int(p.met.cacheHits.Value()),
+		Failed:      int(p.met.failed.Value()),
+		Retries:     int(p.met.retries.Value()),
+		Invalidated: int(p.met.invalidated.Value()),
+		Workers:     p.opts.Workers,
+		SimTime:     simTime,
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := Summary{
-		Jobs:        len(p.jobs),
-		Executed:    p.stats.executed,
-		CacheHits:   p.stats.cacheHits,
-		Failed:      p.stats.failed,
-		Retries:     p.stats.retries,
-		Invalidated: p.stats.invalidated,
-		Workers:     p.opts.Workers,
-		Wall:        p.wall,
-		SimTime:     p.stats.simTime,
-	}
+	s.Jobs = len(p.jobs)
+	s.Wall = p.wall
 	if s.Wall == 0 {
 		s.Wall = time.Since(p.start)
 	}
-	timings := append([]JobTiming(nil), p.stats.timings...)
-	sort.Slice(timings, func(i, j int) bool { return timings[i].Duration > timings[j].Duration })
-	if len(timings) > maxSlowest {
-		timings = timings[:maxSlowest]
-	}
-	s.Slowest = timings
+	s.Slowest = append([]JobTiming(nil), p.slowest...)
 	return s
+}
+
+// noteSlowLocked keeps jt if it is among the maxSlowest longest executed
+// jobs so far; ties keep finish order (caller holds mu).
+func (p *Pool) noteSlowLocked(jt JobTiming) {
+	s := p.slowest
+	i := sort.Search(len(s), func(i int) bool { return s[i].Duration < jt.Duration })
+	if i == maxSlowest {
+		return
+	}
+	if len(s) < maxSlowest {
+		s = append(s, JobTiming{})
+	}
+	copy(s[i+1:], s[i:])
+	s[i] = jt
+	p.slowest = s
 }
 
 // Format renders the summary as the multi-line block mmtbench prints to

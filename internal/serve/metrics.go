@@ -2,8 +2,8 @@ package serve
 
 import "mmt/internal/obs"
 
-// metrics are the serving instruments, registered under mmt_serve_* when
-// the server is given a registry.
+// metrics are the serving instruments, registered under mmt_serve_* in the
+// server's registry (the caller's, or a private one).
 type metrics struct {
 	submitted   *obs.Counter
 	deduped     *obs.Counter

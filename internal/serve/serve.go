@@ -49,8 +49,8 @@ import (
 type Options struct {
 	// Runner configures the underlying pool. The server chains its own
 	// completion bookkeeping onto Runner.OnComplete (a caller-provided
-	// hook still runs) and shares Metrics with the pool when Runner's is
-	// unset.
+	// hook still runs) and shares its registry with the pool when
+	// Runner.Metrics is unset.
 	Runner runner.Options
 	// MaxQueue bounds flights admitted but not yet dispatched; beyond it
 	// submissions get 429 + Retry-After (default 64). Deduplicated
@@ -76,8 +76,10 @@ type Options struct {
 	// error-severity findings with 400 before they reach the queue.
 	// Analyses are memoized by source hash for the server's lifetime.
 	Precheck bool
-	// Metrics, when non-nil, receives the serving counters, queue depth
-	// gauge and latency histograms for the /metrics endpoint.
+	// Metrics, when non-nil, exports the serving counters, queue depth
+	// gauge and latency histograms at GET /metrics. Nil keeps them in a
+	// private registry; /v1/stats reads the same instruments either way.
+	// One registry serves at most one server.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records distributed spans for every hop of a
 	// job's life (admission, queueing, dedup joins, execution) and serves
@@ -106,15 +108,10 @@ type Server struct {
 	opts  Options
 	pool  *runner.Pool
 	mux   *http.ServeMux
-	met   *metrics
+	met   *metrics    // the only serving counters; /v1/stats reads them
 	pre   *prechecker // non-nil when Options.Precheck is set
 	log   *slog.Logger
 	start time.Time
-
-	// reqLatency and jobLatency always exist (registered when a registry
-	// is configured), so /v1/stats can report quantiles either way.
-	reqLatency *obs.Histogram
-	jobLatency *obs.Histogram
 
 	mu          sync.Mutex
 	cond        *sync.Cond // signals dispatchers when the queue grows or the server closes
@@ -126,24 +123,10 @@ type Server struct {
 	seq         uint64
 	draining    bool
 	closed      bool
-	counts      counts
 	runSum      time.Duration // executed-flight wall clock, for Retry-After estimation
 	runN        int
 
 	dispatchers sync.WaitGroup
-}
-
-// counts are the serving counters behind /v1/stats (guarded by Server.mu).
-type counts struct {
-	submitted uint64 // accepted submissions (including dedup joins)
-	deduped   uint64 // submissions that joined an existing flight
-	rejected  uint64 // submissions refused by admission control
-	expired   uint64 // jobs that missed their queued-deadline
-	completed uint64 // jobs finished successfully
-	failed    uint64 // jobs finished with an error
-	simulated uint64 // flights resolved by running the simulation
-	fromCache uint64 // flights resolved by the persistent result cache
-	streams   int    // live SSE streams
 }
 
 // New starts a server and its dispatcher goroutines. ctx is the pool's
@@ -161,9 +144,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	}
 	if opts.Resolve == nil {
 		opts.Resolve = func(s sim.TaskSpec) (sim.Task, error) { return s.Task() }
-	}
-	if opts.Metrics != nil && opts.Runner.Metrics == nil {
-		opts.Runner.Metrics = opts.Metrics
 	}
 	if opts.Tracer != nil && opts.Runner.Tracer == nil {
 		opts.Runner.Tracer = opts.Tracer
@@ -187,13 +167,13 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		s.pre = newPrechecker()
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if opts.Metrics != nil {
-		s.met = newMetrics(opts.Metrics)
-		s.reqLatency = s.met.reqLatency
-		s.jobLatency = s.met.jobLatency
-	} else {
-		s.reqLatency = obs.NewHistogram(nil)
-		s.jobLatency = obs.NewHistogram(nil)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.met = newMetrics(reg)
+	if opts.Runner.Metrics == nil {
+		opts.Runner.Metrics = reg
 	}
 
 	userHook := opts.Runner.OnComplete
@@ -226,7 +206,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.mux.ServeHTTP(w, r)
-	s.reqLatency.ObserveWithExemplar(time.Since(start), span.Extract(r.Header).TraceID)
+	s.met.reqLatency.ObserveWithExemplar(time.Since(start), span.Extract(r.Header).TraceID)
 }
 
 // Pool exposes the underlying runner pool (its Summary feeds /v1/stats).

@@ -25,20 +25,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.snapshotLocked(j, time.Now())
-	s.counts.streams++
 	s.mu.Unlock()
 
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.streamClosed()
 		writeHTTPError(w, &httpError{status: http.StatusInternalServerError, msg: "response writer cannot stream"})
 		return
 	}
-	defer s.streamClosed()
-	if s.met != nil {
-		s.met.streams.Add(1)
-		defer s.met.streams.Add(-1)
-	}
+	s.met.streams.Add(1)
+	defer s.met.streams.Add(-1)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -99,9 +94,3 @@ const (
 	eventProgress = "progress"
 	eventOutcome  = "outcome"
 )
-
-func (s *Server) streamClosed() {
-	s.mu.Lock()
-	s.counts.streams--
-	s.mu.Unlock()
-}
