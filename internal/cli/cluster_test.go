@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,8 +38,7 @@ func startDaemon(t *testing.T, name string, run func(args []string, stdout, prog
 // mmtload -cluster, and then proves the acceptance scenario: a cold node
 // restart (fresh cache dir, same remote cache) serves previously
 // simulated results without re-simulating. One SIGTERM to the test
-// process drains every daemon, the lifecycle the CI cluster-smoke step
-// exercises against the built binaries.
+// process drains every daemon.
 func TestClusterEndToEnd(t *testing.T) {
 	var progress syncBuffer
 
@@ -86,13 +86,15 @@ func TestClusterEndToEnd(t *testing.T) {
 	if !strings.Contains(wf, "from 3 processes") {
 		t.Errorf("waterfall not stitched from 3 processes:\n%s", wf)
 	}
-	for _, want := range []string{"router.submit", "mmtserved@", "mmtcached@"} {
+	for _, want := range []string{"router.submit", "serve.", "mmtserved@", "mmtcached@"} {
 		if !strings.Contains(wf, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, wf)
 		}
 	}
 	if raw, err := os.ReadFile(chromePath); err != nil || !bytes.Contains(raw, []byte("traceEvents")) {
 		t.Errorf("chrome trace not written: %v", err)
+	} else if !json.Valid(raw) {
+		t.Errorf("chrome trace is not valid JSON:\n%s", raw)
 	}
 
 	// The fleet-wide listing ranks recent traces by duration.

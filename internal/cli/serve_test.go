@@ -2,10 +2,14 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -14,6 +18,7 @@ import (
 
 	"mmt/internal/obs"
 	"mmt/internal/prof"
+	"mmt/internal/serve/client"
 )
 
 // syncBuffer guards a bytes.Buffer: the daemon's progress stream is
@@ -35,23 +40,15 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestServeAndLoadEndToEnd boots the daemon on an ephemeral port, drives
-// it with the load generator, then drains it with SIGTERM — the same
-// lifecycle the CI smoke step runs against the built binaries.
+// TestServeAndLoadEndToEnd boots the daemon on an ephemeral port with a
+// disk cache, drives it with the load generator, checks that /metrics and
+// /v1/stats agree, drains it with SIGTERM, and restarts it on the same
+// cache directory: the restarted daemon serves the same load from disk.
 func TestServeAndLoadEndToEnd(t *testing.T) {
-	addrc := make(chan string, 1)
-	done := make(chan error, 1)
-	var stdout, progress syncBuffer
-	go func() {
-		done <- runServe([]string{"-addr", "127.0.0.1:0", "-j", "2", "-queue", "8"},
-			&stdout, &progress, func(a string) { addrc <- a })
-	}()
-	var addr string
-	select {
-	case addr = <-addrc:
-	case err := <-done:
-		t.Fatalf("daemon exited before listening: %v", err)
-	}
+	cacheDir := t.TempDir()
+	var progress syncBuffer
+	serveArgs := []string{"-addr", "127.0.0.1:0", "-j", "2", "-queue", "8", "-cache-dir", cacheDir}
+	addr, done := startDaemon(t, "mmtserved", runServe, serveArgs, &progress)
 
 	var loadOut bytes.Buffer
 	if err := runLoad([]string{"-server", "http://" + addr, "-n", "6", "-c", "3",
@@ -66,6 +63,14 @@ func TestServeAndLoadEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(out, "simulated=0 ") {
 		t.Errorf("load run simulated nothing:\n%s", out)
+	}
+	// /metrics on the main port reads the same instruments as /v1/stats.
+	stats, err := client.New("http://"+addr, nil).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scrapeCounter(t, "http://"+addr+"/metrics", "mmt_serve_jobs_completed_total"); got != stats.Completed || got == 0 {
+		t.Errorf("mmt_serve_jobs_completed_total = %d, /v1/stats completed = %d", got, stats.Completed)
 	}
 
 	// A second identical run is served without new simulations: every
@@ -144,6 +149,29 @@ func TestServeAndLoadEndToEnd(t *testing.T) {
 		t.Error("merged load profile is empty")
 	}
 
+	drain(t, done)
+	if got := progress.String(); !strings.Contains(got, "drained, bye") {
+		t.Errorf("progress missing drain farewell:\n%s", got)
+	}
+
+	// A fresh process on the same cache directory has an empty memo, so
+	// the first load's specs can only come from disk.
+	addr, done = startDaemon(t, "mmtserved restarted", runServe, serveArgs, &progress)
+	var restarted bytes.Buffer
+	if err := runLoad([]string{"-server", "http://" + addr, "-n", "6", "-c", "3",
+		"-dup", "0.5", "-seed", "2"}, &restarted, io.Discard); err != nil {
+		t.Fatalf("mmtload after restart: %v\n%s", err, restarted.String())
+	}
+	if m := regexp.MustCompile(`server:  simulated=0 cache=([1-9][0-9]*) `).FindStringSubmatch(restarted.String()); m == nil {
+		t.Errorf("restarted daemon did not serve the load from its disk cache:\n%s", restarted.String())
+	}
+	drain(t, done)
+}
+
+// drain sends SIGTERM to the test process and waits for the daemon whose
+// exit channel is done to finish draining.
+func drain(t *testing.T, done chan error) {
+	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +183,32 @@ func TestServeAndLoadEndToEnd(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not drain after SIGTERM")
 	}
-	if got := progress.String(); !strings.Contains(got, "drained, bye") {
-		t.Errorf("progress missing drain farewell:\n%s", got)
+}
+
+// scrapeCounter reads one unlabeled counter's value from a Prometheus
+// text endpoint.
+func scrapeCounter(t *testing.T, url, name string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s not exported at %s:\n%s", name, url, body)
+	return 0
 }
 
 func TestServeVersionFlag(t *testing.T) {
