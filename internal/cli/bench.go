@@ -59,15 +59,10 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 		sampleEvery = fs.Duration("sample-every", 250*time.Millisecond, "interval between worker-utilization samples on the trace")
 		metricsAddr = fs.String("metrics-addr", "", "serve live runner metrics, expvar and pprof on this address")
 		precheck    = fs.Bool("precheck", false, "statically analyze every workload program first (mmtcheck) and refuse to run on error findings")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
 	flf := addFlightFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return runner.Summary{}, err
-	}
-	if *version {
-		printVersion(stdout, "mmtbench")
-		return runner.Summary{}, nil
 	}
 	if *benchCompare != "" {
 		oldPath, newPath, ok := strings.Cut(*benchCompare, ",")
@@ -145,7 +140,7 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 	}
 	// The always-on flight recorder rides the pool's job timeline; a
 	// captured worker panic or SIGQUIT dumps the ring to disk.
-	fl, dumpDir := flf.build("mmtbench", progress)
+	fl, dumpDir, _ := flf.build("mmtbench", progress)
 	opts.Flight = fl
 	opts.FlightDumpDir = dumpDir
 	if opts.Trace != nil {

@@ -1,21 +1,13 @@
 package cli
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"mmt/internal/cluster"
-	"mmt/internal/obs"
-	"mmt/internal/obs/span"
 )
 
 // RunCached is the mmtcached command: the content-addressed remote result
@@ -32,89 +24,41 @@ func runCached(args []string, stdout, progress io.Writer, ready func(addr string
 	fs := flag.NewFlagSet("mmtcached", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		addr        = fs.String("addr", "127.0.0.1:8380", "listen address for the cache API")
-		dir         = fs.String("dir", "", "entry directory (required)")
-		maxBytes    = fs.Int64("max-bytes", 0, "byte budget; least-recently-used entries are evicted beyond it (0 = unlimited)")
-		metricsAddr = fs.String("metrics-addr", "", "serve live metrics, expvar and pprof on this address")
-		version     = fs.Bool("version", false, "print version and exit")
+		dir      = fs.String("dir", "", "entry directory (required)")
+		maxBytes = fs.Int64("max-bytes", 0, "byte budget; least-recently-used entries are evicted beyond it (0 = unlimited)")
 	)
-	logf := addLogFlags(fs)
-	dbg := addDebugFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtcached")
-		return nil
-	}
-	logger, err := logf.logger(progress)
-	if err != nil {
-		return err
-	}
-	if *dir == "" {
-		return errors.New("-dir is required (entry directory)")
-	}
-
-	opts := cluster.CacheServerOptions{Dir: *dir, MaxBytes: *maxBytes}
-	// The registry always exists: /metrics rides the main port for
-	// mmtdoctor, and -metrics-addr additionally serves it on a side port.
-	opts.Metrics = obs.NewRegistry()
-	if *metricsAddr != "" {
-		msrv, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-	}
-	// Bind before constructing the server: the tracer's service label
-	// carries the resolved address, matching the rest of the fleet.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	service := "mmtcached@" + ln.Addr().String()
-	opts.Tracer = span.NewTracer(service, span.DefaultCapacity)
-	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, logger, progress)
-	defer st.Close()
-	logger = st.Wrap(logger)
-	opts.Log = logger.With("service", "mmtcached")
-	opts.Flight = st.Flight
-	opts.Debug = st.Handler
-	srv, err := cluster.NewCacheServer(opts)
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	if progress != nil {
-		fmt.Fprintf(progress, "mmtcached %s serving on http://%s/v1/cache (%d entries, %d bytes)\n",
-			Version(), ln.Addr(), srv.Store().Len(), srv.Store().Bytes())
-		st.announce(progress, ln.Addr().String())
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-
-	select {
-	case err := <-serveErr:
-		return err
-	case sig := <-sigc:
-		if progress != nil {
-			fmt.Fprintf(progress, "mmtcached: received %s, shutting down\n", sig)
-		}
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		httpSrv.Shutdown(sctx) //nolint:errcheck // bounded wait for in-flight puts
-		scancel()
-		if progress != nil {
-			fmt.Fprintf(progress, "mmtcached: %d entries, %d bytes on disk; bye\n",
-				srv.Store().Len(), srv.Store().Bytes())
-		}
-		return nil
-	}
+	return runDaemon(fs, args, progress, ready, daemon{
+		addr: "127.0.0.1:8380", addrUsage: "listen address for the cache API",
+		check: func() error {
+			if *dir == "" {
+				return errors.New("-dir is required (entry directory)")
+			}
+			return nil
+		},
+		build: func(p *process) (*running, error) {
+			srv, err := cluster.NewCacheServer(cluster.CacheServerOptions{
+				Dir:      *dir,
+				MaxBytes: *maxBytes,
+				Metrics:  p.metrics,
+				Tracer:   p.tracer,
+				Log:      p.log,
+				Flight:   p.debug.Flight,
+				Debug:    p.debug.Handler,
+			})
+			if err != nil {
+				return nil, err
+			}
+			st := srv.Store()
+			return &running{
+				handler: srv,
+				banner:  fmt.Sprintf("serving on http://%s/v1/cache (%d entries, %d bytes)", p.addr, st.Len(), st.Bytes()),
+				stop: func(why string, shutdown func()) error {
+					fmt.Fprintf(p.progress, "mmtcached: %s, shutting down\n", why)
+					shutdown()
+					fmt.Fprintf(p.progress, "mmtcached: %d entries, %d bytes on disk; bye\n", st.Len(), st.Bytes())
+					return nil
+				},
+			}, nil
+		},
+	})
 }

@@ -48,14 +48,9 @@ func RunCheck(args []string, out io.Writer) error {
 		minCorr  = fs.Float64("min-correlation", 0, "with -against-profile: fail when the predicted-vs-observed merged-fraction Spearman falls below this")
 		estimate = fs.Bool("estimate", false, "print the static cost-model estimate (redundancy, LVIP potential, divergence sites)")
 		report   = fs.Bool("report", true, "include the static redundancy report (text format)")
-		version  = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtcheck")
-		return nil
 	}
 	if *format != "text" && *format != "json" && *format != "sarif" {
 		return fmt.Errorf("unknown -format %q (want text, json or sarif)", *format)

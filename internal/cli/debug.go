@@ -17,31 +17,9 @@ import (
 	"mmt/internal/obs/span"
 )
 
-// debugOptions carries the flags every daemon shares for the always-on
-// diagnostics surface: the flight recorder ring, the continuous profiler
-// and the in-process metrics history behind GET /v1/debug/.
-type debugOptions struct {
-	flightEntries *int
-	flightDumpDir *string
-	profileEvery  *time.Duration
-	profileCPU    *time.Duration
-	historyEvery  *time.Duration
-}
-
-// addDebugFlags registers the -flight-*, -profile-* and -history-* flags.
-func addDebugFlags(fs *flag.FlagSet) debugOptions {
-	return debugOptions{
-		flightEntries: fs.Int("flight-entries", flight.DefaultCapacity, "flight recorder ring capacity (entries)"),
-		flightDumpDir: fs.String("flight-dump-dir", os.TempDir(), "where SIGQUIT/panic flight dumps land (empty = no dumps; the ring stays live)"),
-		profileEvery:  fs.Duration("profile-every", time.Minute, "continuous profiler round cadence (0 = disabled)"),
-		profileCPU:    fs.Duration("profile-cpu", 5*time.Second, "CPU window per profiler round (clamped to half the cadence)"),
-		historyEvery:  fs.Duration("history-every", 5*time.Second, "metrics history sampling cadence"),
-	}
-}
-
-// flightOptions carries just the flight-recorder flags for batch tools
-// (mmtsim, mmtbench) that want the black-box ring and SIGQUIT/panic dumps
-// without the daemon debug surface.
+// flightOptions carries the flight-recorder flags: the black-box ring
+// and its SIGQUIT/panic dumps. Batch tools (mmtsim, mmtbench) register
+// just these; daemons get them as part of debugOptions.
 type flightOptions struct {
 	entries *int
 	dumpDir *string
@@ -55,15 +33,36 @@ func addFlightFlags(fs *flag.FlagSet) flightOptions {
 	}
 }
 
-// build creates the ring and installs the SIGQUIT dump handler. The
-// returned dir is where panic dumps should land ("" when dumps are off).
-func (o flightOptions) build(service string, progress io.Writer) (*flight.Recorder, string) {
-	fl := flight.New(service, *o.entries)
+// build creates the ring and installs the SIGQUIT dump handler. It
+// returns the directory panic dumps should land in and the path a
+// SIGQUIT dump will take (both "" when dumps are off).
+func (o flightOptions) build(service string, progress io.Writer) (fl *flight.Recorder, dumpDir, dumpPath string) {
+	fl = flight.New(service, *o.entries)
 	fl.Mark("process start: " + service)
 	if *o.dumpDir != "" {
-		flight.InstallSignalDump(fl, *o.dumpDir, progress)
+		dumpPath = flight.InstallSignalDump(fl, *o.dumpDir, progress)
 	}
-	return fl, *o.dumpDir
+	return fl, *o.dumpDir, dumpPath
+}
+
+// debugOptions carries the flags every daemon shares for the always-on
+// diagnostics surface: the flight recorder ring, the continuous profiler
+// and the in-process metrics history behind GET /v1/debug/.
+type debugOptions struct {
+	flight       flightOptions
+	profileEvery *time.Duration
+	profileCPU   *time.Duration
+	historyEvery *time.Duration
+}
+
+// addDebugFlags registers the -flight-*, -profile-* and -history-* flags.
+func addDebugFlags(fs *flag.FlagSet) debugOptions {
+	return debugOptions{
+		flight:       addFlightFlags(fs),
+		profileEvery: fs.Duration("profile-every", time.Minute, "continuous profiler round cadence (0 = disabled)"),
+		profileCPU:   fs.Duration("profile-cpu", 5*time.Second, "CPU window per profiler round (clamped to half the cadence)"),
+		historyEvery: fs.Duration("history-every", 5*time.Second, "metrics history sampling cadence"),
+	}
 }
 
 // debugStack is the assembled diagnostics surface for one daemon.
@@ -82,19 +81,13 @@ type debugStack struct {
 // ("mmtserved@host:port"); fs is the parsed flag set, rendered at
 // GET /v1/debug/config so a bundle records the node's exact configuration.
 func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry, tracer *span.Tracer, logger *slog.Logger, progress io.Writer) *debugStack {
-	st := &debugStack{
-		Flight:  flight.New(service, *o.flightEntries),
-		DumpDir: *o.flightDumpDir,
-	}
-	st.Flight.Mark("process start: " + service)
+	st := &debugStack{}
+	st.Flight, st.DumpDir, st.DumpPath = o.flight.build(service, progress)
 	if tracer != nil {
 		fl := st.Flight
 		tracer.SetObserver(func(r span.Record) {
 			fl.SpanRef(r.Name, r.TraceID, r.StartUNS, r.DurNS)
 		})
-	}
-	if st.DumpDir != "" {
-		st.DumpPath = flight.InstallSignalDump(st.Flight, st.DumpDir, progress)
 	}
 	if *o.profileEvery > 0 {
 		st.Profiler = profiled.New(service, profiled.Options{

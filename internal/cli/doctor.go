@@ -44,14 +44,9 @@ func runDoctor(args []string, stdout, progress io.Writer) error {
 		maxQueue  = fs.Int("max-queue", 0, "breach when any node's queue depth exceeds this (0 = unchecked)")
 		maxFailed = fs.Float64("max-failed-rate", 0, "breach when failed/(completed+failed) exceeds this, 0..1 (0 = unchecked)")
 		fromDump  = fs.String("from-dump", "", "render this on-disk flight dump file and exit")
-		version   = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtdoctor")
-		return nil
 	}
 	if *fromDump != "" {
 		d, err := flight.ReadDump(*fromDump)
@@ -62,15 +57,9 @@ func runDoctor(args []string, stdout, progress io.Writer) error {
 		return nil
 	}
 
-	var extra []string
-	for _, s := range strings.Split(*sources, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			extra = append(extra, s)
-		}
-	}
 	opts := doctor.Options{
 		Server:      *server,
-		Sources:     extra,
+		Sources:     strings.Split(*sources, ","),
 		SlowTraces:  *slowest,
 		TopFrames:   *top,
 		ProfileLast: *last,

@@ -44,15 +44,10 @@ func runDSE(args []string, stdout, progress io.Writer) error {
 		cacheDir    = fs.String("cache-dir", "", "persistent result cache directory for the local backend (empty = disabled)")
 		metricsAddr = fs.String("metrics-addr", "", "serve live mmt_dse_* metrics, expvar and pprof on this address")
 		rank        = fs.String("rank", "", "override the space's static ranker: on orders rung 0 by the absint cost model, off disables it (default: the space decides)")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
 	logf := addLogFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtdse")
-		return nil
 	}
 	logger, err := logf.logger(progress)
 	if err != nil {

@@ -54,15 +54,10 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 		attribution = fs.Bool("attribution", false, "request per-PC attribution profiles from the server and merge them")
 		profileOut  = fs.String("profile-out", "", "with -attribution: write the merged attribution profile to this file")
 		profileTop  = fs.Int("profile-top", 5, "sites in the printed attribution summary (0 = all)")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
 	logf := addLogFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtload")
-		return nil
 	}
 	logger, err := logf.logger(progress)
 	if err != nil {

@@ -3,10 +3,8 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mmt/internal/obs"
@@ -74,32 +72,6 @@ func TestRunSimTraceCapture(t *testing.T) {
 	}
 	if samples == 0 {
 		t.Error("no cycle samples despite -sample-every 100")
-	}
-}
-
-func TestVersionFlags(t *testing.T) {
-	for _, run := range []struct {
-		name string
-		fn   func([]string, *bytes.Buffer) error
-	}{
-		{"mmtsim", func(a []string, b *bytes.Buffer) error { return RunSim(a, b) }},
-		{"mmtpipe", func(a []string, b *bytes.Buffer) error { return RunPipe(a, b) }},
-		{"mmtprofile", func(a []string, b *bytes.Buffer) error { return RunProfile(a, b) }},
-	} {
-		var out bytes.Buffer
-		if err := run.fn([]string{"-version"}, &out); err != nil {
-			t.Fatalf("%s -version: %v", run.name, err)
-		}
-		if !strings.HasPrefix(out.String(), run.name+" ") || !strings.Contains(out.String(), "go1") {
-			t.Errorf("%s -version output: %q", run.name, out.String())
-		}
-	}
-	var out bytes.Buffer
-	if _, err := runBench([]string{"-version"}, &out, io.Discard); err != nil {
-		t.Fatalf("mmtbench -version: %v", err)
-	}
-	if !strings.HasPrefix(out.String(), "mmtbench ") {
-		t.Errorf("mmtbench -version output: %q", out.String())
 	}
 }
 

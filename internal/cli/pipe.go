@@ -28,14 +28,9 @@ func RunPipe(args []string, out io.Writer) error {
 		cycles  = fs.Uint64("cycles", 80, "cycles to trace")
 		dump    = fs.Uint64("dump", 0, "also print full machine state every N traced cycles (0 = off)")
 		stalls  = fs.Bool("stalls", false, "also show stall-cause edges in the event column")
-		version = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtpipe")
-		return nil
 	}
 
 	app, ok := workloads.ByName(*appName)

@@ -24,14 +24,9 @@ func RunProfile(args []string, out io.Writer) error {
 		fromRun  = fs.String("from-run", "", "render an attribution profile: a -profile-out JSON file or a -out outcome file with an embedded profile")
 		diffWith = fs.String("diff", "", "with -from-run: second profile to diff against (-from-run = before, -diff = after)")
 		topN     = fs.Int("top", 10, "sites in the attribution report (0 = all)")
-		version  = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtprofile")
-		return nil
 	}
 	if *diffWith != "" && *fromRun == "" {
 		return fmt.Errorf("-diff requires -from-run")

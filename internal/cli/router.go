@@ -1,21 +1,14 @@
 package cli
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"mmt/internal/cluster"
-	"mmt/internal/obs"
-	"mmt/internal/obs/span"
 )
 
 // RunRouter is the mmtrouter command: the fleet coordinator that
@@ -32,7 +25,6 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 	fs := flag.NewFlagSet("mmtrouter", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:8378", "listen address for the fleet job API")
 		backends = fs.String("backends", "", "comma-separated mmtserved base URLs, each with an optional *weight suffix (e.g. http://10.0.0.1:8377*2,http://10.0.0.2:8377)")
 
 		probeEvery   = fs.Duration("probe-every", time.Second, "health/queue-depth probe cadence")
@@ -40,98 +32,45 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 		stealAt      = fs.Int("steal-threshold", 8, "queue depth at which an owner counts as hot and idle nodes pull its new keys")
 		stealMax     = fs.Int("steal-max", 1, "maximum queue depth of a steal target")
 		placementTTL = fs.Duration("placement-ttl", 5*time.Minute, "how long a key stays pinned to the node that received it")
-
-		metricsAddr = fs.String("metrics-addr", "", "serve live metrics, expvar and pprof on this address")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
-	logf := addLogFlags(fs)
-	dbg := addDebugFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtrouter")
-		return nil
-	}
-	logger, err := logf.logger(progress)
-	if err != nil {
-		return err
-	}
-	if *backends == "" {
-		return errors.New("-backends is required (comma-separated mmtserved URLs)")
-	}
-	nodes, err := cluster.ParseNodes(*backends)
-	if err != nil {
-		return err
-	}
-
-	opts := cluster.RouterOptions{
-		Nodes:          nodes,
-		ProbeEvery:     *probeEvery,
-		ProbeTimeout:   *probeTimeout,
-		StealThreshold: *stealAt,
-		StealMax:       *stealMax,
-		PlacementTTL:   *placementTTL,
-	}
-	// The registry always exists: /metrics rides the main port for
-	// mmtdoctor, and -metrics-addr additionally serves it on a side port.
-	opts.Metrics = obs.NewRegistry()
-	if *metricsAddr != "" {
-		msrv, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
-		if err != nil {
+	var nodes []cluster.Node
+	return runDaemon(fs, args, progress, ready, daemon{
+		addr: "127.0.0.1:8378", addrUsage: "listen address for the fleet job API",
+		check: func() (err error) {
+			if *backends == "" {
+				return errors.New("-backends is required (comma-separated mmtserved URLs)")
+			}
+			nodes, err = cluster.ParseNodes(*backends)
 			return err
-		}
-		defer msrv.Close()
-	}
-	// Bind before constructing the router: the tracer's service label
-	// carries the resolved address, matching the nodes' span rings.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	service := "mmtrouter@" + ln.Addr().String()
-	opts.Tracer = span.NewTracer(service, span.DefaultCapacity)
-	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, logger, progress)
-	defer st.Close()
-	logger = st.Wrap(logger)
-	opts.Log = logger.With("service", "mmtrouter")
-	opts.Flight = st.Flight
-	opts.Debug = st.Handler
-	rt, err := cluster.NewRouter(opts)
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	defer rt.Close()
-	httpSrv := &http.Server{Handler: rt}
-	if progress != nil {
-		fmt.Fprintf(progress, "mmtrouter %s routing on http://%s/v1 across %d backends\n",
-			Version(), ln.Addr(), len(nodes))
-		st.announce(progress, ln.Addr().String())
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-
-	select {
-	case err := <-serveErr:
-		return err
-	case sig := <-sigc:
-		if progress != nil {
-			fmt.Fprintf(progress, "mmtrouter: received %s, shutting down\n", sig)
-		}
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		httpSrv.Shutdown(sctx) //nolint:errcheck // in-flight proxies get a bounded wait
-		scancel()
-		if progress != nil {
-			fmt.Fprintln(progress, "mmtrouter: drained, bye")
-		}
-		return nil
-	}
+		},
+		build: func(p *process) (*running, error) {
+			rt, err := cluster.NewRouter(cluster.RouterOptions{
+				Nodes:          nodes,
+				ProbeEvery:     *probeEvery,
+				ProbeTimeout:   *probeTimeout,
+				StealThreshold: *stealAt,
+				StealMax:       *stealMax,
+				PlacementTTL:   *placementTTL,
+				Metrics:        p.metrics,
+				Tracer:         p.tracer,
+				Log:            p.log,
+				Flight:         p.debug.Flight,
+				Debug:          p.debug.Handler,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return &running{
+				handler: rt,
+				banner:  fmt.Sprintf("routing on http://%s/v1 across %d backends", p.addr, len(nodes)),
+				stop: func(why string, shutdown func()) error {
+					fmt.Fprintf(p.progress, "mmtrouter: %s, shutting down\n", why)
+					shutdown()
+					rt.Close()
+					fmt.Fprintln(p.progress, "mmtrouter: drained, bye")
+					return nil
+				},
+			}, nil
+		},
+	})
 }

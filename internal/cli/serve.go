@@ -5,18 +5,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
-	"syscall"
 	"time"
 
 	"mmt/internal/cluster"
 	"mmt/internal/obs"
-	"mmt/internal/obs/span"
 	"mmt/internal/runner"
 	"mmt/internal/serve"
 )
@@ -35,7 +30,6 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 	fs := flag.NewFlagSet("mmtserved", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:8377", "listen address for the job API")
 		jobs     = fs.Int("j", runtime.NumCPU(), "parallel simulation workers")
 		cacheDir = fs.String("cache-dir", "", "persistent result cache directory (empty = disabled)")
 		cacheMax = fs.Int64("cache-max-bytes", 0, "persistent cache byte budget; least-recently-used entries are evicted beyond it (0 = unlimited)")
@@ -51,170 +45,89 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the runner's workers (open in Perfetto)")
 		eventsOut   = fs.String("events-out", "", "write the runner's job timeline as JSONL events")
 		sampleEvery = fs.Duration("sample-every", 250*time.Millisecond, "interval between worker-utilization samples on the trace")
-		metricsAddr = fs.String("metrics-addr", "", "serve live metrics, expvar and pprof on this address")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
-	logf := addLogFlags(fs)
-	dbg := addDebugFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtserved")
-		return nil
-	}
-	logger, err := logf.logger(progress)
-	if err != nil {
-		return err
-	}
-	if err := validateTimeout(*timeout); err != nil {
-		return err
-	}
-	if err := validateRetries(*retries); err != nil {
-		return err
-	}
-	if *traceOut != "" || *eventsOut != "" {
-		if err := validateSampleEvery(*sampleEvery); err != nil {
-			return err
-		}
-	}
-
-	// rootCtx is the pool's hard-abort context: canceled when the drain
-	// deadline expires or a second signal arrives.
-	rootCtx, abort := context.WithCancel(context.Background())
-	defer abort()
-
-	opts := serve.Options{
-		Runner: runner.Options{
-			Workers:       *jobs,
-			CacheDir:      *cacheDir,
-			CacheMaxBytes: *cacheMax,
-			Timeout:       *timeout,
-			Retries:       *retries,
-			Progress:      progress,
+	return runDaemon(fs, args, progress, ready, daemon{
+		addr: "127.0.0.1:8377", addrUsage: "listen address for the job API",
+		check: func() error {
+			if err := validateTimeout(*timeout); err != nil {
+				return err
+			}
+			if err := validateRetries(*retries); err != nil {
+				return err
+			}
+			if *traceOut != "" || *eventsOut != "" {
+				return validateSampleEvery(*sampleEvery)
+			}
+			return nil
 		},
-		MaxQueue:        *queue,
-		DefaultDeadline: *deadline,
-		Precheck:        *precheck,
-	}
-	if *remote != "" {
-		opts.Runner.RemoteCache = cluster.NewCacheClient(*remote, nil)
-	}
-	// The registry always exists: /metrics rides the main port for
-	// mmtdoctor, and -metrics-addr additionally serves it with expvar and
-	// pprof on a side port.
-	opts.Metrics = obs.NewRegistry()
-	if *metricsAddr != "" {
-		msrv, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-	}
-	var closeTrace func() error
-	if *traceOut != "" || *eventsOut != "" {
-		rec, closeSinks, err := openTraceSinks(*traceOut, *eventsOut, "mmtserved runner", "worker",
-			map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
-		if err != nil {
-			return err
-		}
-		opts.Runner.Trace = rec
-		opts.Runner.TraceSampleEvery = *sampleEvery
-		closeTrace = closeSinks
-	}
-
-	// Bind before constructing the server: the tracer's service label
-	// carries the resolved address, so a stitched fleet waterfall names
-	// the node each span ran on.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		if closeTrace != nil {
-			closeTrace()
-		}
-		return err
-	}
-	service := "mmtserved@" + ln.Addr().String()
-	opts.Tracer = span.NewTracer(service, span.DefaultCapacity)
-	// The diagnostics stack: flight ring (fed admission/completion edges,
-	// finished spans, log lines and the runner's job timeline), continuous
-	// profiler, metrics history, SIGQUIT dump.
-	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, logger, progress)
-	defer st.Close()
-	logger = st.Wrap(logger)
-	opts.Log = logger.With("service", "mmtserved")
-	opts.Flight = st.Flight
-	opts.Debug = st.Handler
-	opts.Runner.FlightDumpDir = st.DumpDir
-	if opts.Runner.Trace != nil {
-		opts.Runner.Trace = obs.Multi(opts.Runner.Trace, st.Flight)
-	} else {
-		opts.Runner.Trace = st.Flight
-	}
-
-	srv, err := serve.New(rootCtx, opts)
-	if err != nil {
-		ln.Close()
-		if closeTrace != nil {
-			closeTrace()
-		}
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	if progress != nil {
-		fmt.Fprintf(progress, "mmtserved %s serving on http://%s/v1 (%d workers, queue %d)\n",
-			Version(), ln.Addr(), srv.Pool().Summary().Workers, *queue)
-		st.announce(progress, ln.Addr().String())
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-
-	select {
-	case err := <-serveErr:
-		srv.Close()
-		if closeTrace != nil {
-			closeTrace()
-		}
-		return err
-	case sig := <-sigc:
-		if progress != nil {
-			fmt.Fprintf(progress, "mmtserved: received %s, draining (timeout %s; signal again to abort)\n", sig, *drainTimeout)
-		}
-		go func() {
-			<-sigc // second signal: abort in-flight simulations
-			abort()
-		}()
-		dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
-		derr := srv.Drain(dctx)
-		dcancel()
-		if derr != nil {
-			if progress != nil {
-				fmt.Fprintf(progress, "mmtserved: %v; aborting\n", derr)
+		build: func(p *process) (*running, error) {
+			opts := serve.Options{
+				Runner: runner.Options{
+					Workers:       *jobs,
+					CacheDir:      *cacheDir,
+					CacheMaxBytes: *cacheMax,
+					Timeout:       *timeout,
+					Retries:       *retries,
+					Progress:      p.progress,
+					// The flight ring also gets the runner's job timeline.
+					Trace:         p.debug.Flight,
+					FlightDumpDir: p.debug.DumpDir,
+				},
+				MaxQueue:        *queue,
+				DefaultDeadline: *deadline,
+				Precheck:        *precheck,
+				Metrics:         p.metrics,
+				Tracer:          p.tracer,
+				Log:             p.log,
+				Flight:          p.debug.Flight,
+				Debug:           p.debug.Handler,
 			}
-			abort()
-		}
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		httpSrv.Shutdown(sctx) //nolint:errcheck // drain already bounded the wait
-		scancel()
-		srv.Close()
-		if closeTrace != nil {
-			if cerr := closeTrace(); cerr != nil && derr == nil {
-				derr = cerr
+			if *remote != "" {
+				opts.Runner.RemoteCache = cluster.NewCacheClient(*remote, nil)
 			}
-		}
-		if progress != nil {
-			s := srv.Pool().Summary()
-			if s.Jobs > 0 {
-				fmt.Fprint(progress, s.Format())
+			closeTrace := func() error { return nil }
+			if *traceOut != "" || *eventsOut != "" {
+				rec, closeSinks, err := openTraceSinks(*traceOut, *eventsOut, "mmtserved runner", "worker",
+					map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
+				if err != nil {
+					return nil, err
+				}
+				opts.Runner.Trace = obs.Multi(rec, p.debug.Flight)
+				opts.Runner.TraceSampleEvery = *sampleEvery
+				closeTrace = closeSinks
 			}
-			fmt.Fprintln(progress, "mmtserved: drained, bye")
-		}
-		return derr
-	}
+			// p.ctx is the pool's hard-abort context: canceled when the
+			// drain deadline expires or a second signal arrives.
+			srv, err := serve.New(p.ctx, opts)
+			if err != nil {
+				closeTrace()
+				return nil, err
+			}
+			return &running{
+				handler: srv,
+				banner: fmt.Sprintf("serving on http://%s/v1 (%d workers, queue %d)",
+					p.addr, srv.Pool().Summary().Workers, *queue),
+				stop: func(why string, shutdown func()) error {
+					fmt.Fprintf(p.progress, "mmtserved: %s, draining (timeout %s; signal again to abort)\n", why, *drainTimeout)
+					dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
+					derr := srv.Drain(dctx)
+					dcancel()
+					if derr != nil {
+						fmt.Fprintf(p.progress, "mmtserved: %v; aborting\n", derr)
+						p.abort()
+					}
+					shutdown()
+					srv.Close()
+					if cerr := closeTrace(); cerr != nil && derr == nil {
+						derr = cerr
+					}
+					if s := srv.Pool().Summary(); s.Jobs > 0 {
+						fmt.Fprint(p.progress, s.Format())
+					}
+					fmt.Fprintln(p.progress, "mmtserved: drained, bye")
+					return derr
+				},
+			}, nil
+		},
+	})
 }

@@ -51,15 +51,10 @@ func RunSim(args []string, out io.Writer) error {
 		sampleEvery = fs.Uint64("sample-every", 1000, "cycles between occupancy/IPC samples when tracing (0 = events only)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, expvar and pprof on this address while running")
 		precheck    = fs.Bool("precheck", false, "statically analyze the program first (mmtcheck) and refuse to run on error findings")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
 	flf := addFlightFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtsim")
-		return nil
 	}
 	if err := validateTimeout(*timeout); err != nil {
 		return err
@@ -165,7 +160,7 @@ func RunSim(args []string, out io.Writer) error {
 	defer stop()
 	// The always-on flight recorder rides the pool's job timeline; a
 	// captured worker panic or SIGQUIT dumps the ring to disk.
-	fl, dumpDir := flf.build("mmtsim", os.Stderr)
+	fl, dumpDir, _ := flf.build("mmtsim", os.Stderr)
 	pool, err := runner.New(ctx, runner.Options{Workers: 1, CacheDir: *cacheDir, Timeout: *timeout,
 		Metrics: reg, Trace: fl, Flight: fl, FlightDumpDir: dumpDir})
 	if err != nil {

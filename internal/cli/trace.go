@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -39,19 +38,17 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 		limit   = fs.Int("limit", 20, "how many traces to list without -slowest")
 		chrome  = fs.String("chrome", "", "also write the stitched trace as Chrome trace-event JSON (open in Perfetto)")
 		timeout = fs.Duration("timeout", 10*time.Second, "overall fetch timeout")
-		version = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmttrace")
-		return nil
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	eps := discoverEndpoints(ctx, *server, *sources, progress)
+	eps, _, err := cluster.Discover(ctx, nil, *server, strings.Split(*sources, ","))
+	if err != nil {
+		fmt.Fprintf(progress, "mmttrace: no cluster behind %s (%v); querying it alone\n", *server, err)
+	}
 
 	if *traceID == "" {
 		n := *limit
@@ -75,34 +72,6 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// discoverEndpoints resolves the set of span rings to query: the -server
-// itself, every node its /v1/cluster reports (when it is a router), and
-// any extra -sources. Order is stable and duplicates collapse.
-func discoverEndpoints(ctx context.Context, server, extra string, progress io.Writer) []string {
-	seen := make(map[string]bool)
-	var eps []string
-	add := func(base string) {
-		base = strings.TrimRight(strings.TrimSpace(base), "/")
-		if base == "" || seen[base] {
-			return
-		}
-		seen[base] = true
-		eps = append(eps, base)
-	}
-	add(server)
-	if cs, err := cluster.FetchClusterStats(ctx, nil, server); err == nil {
-		for _, n := range cs.Nodes {
-			add(n.Node.URL)
-		}
-	} else if progress != nil {
-		fmt.Fprintf(progress, "mmttrace: no cluster behind %s (%v); querying it alone\n", server, err)
-	}
-	for _, s := range strings.Split(extra, ",") {
-		add(s)
-	}
-	return eps
 }
 
 // fetchStitched gathers one trace's spans from every endpoint and
@@ -157,75 +126,20 @@ func fetchStitched(ctx context.Context, eps []string, traceID string, progress i
 	return span.Stitch(records), nil
 }
 
-// fleetTrace is one trace's summaries merged across processes.
-type fleetTrace struct {
-	id        string
-	root      string
-	rootStart int64
-	spans     int
-	procs     int
-	start     int64
-	end       int64
-}
-
-// listTraces merges every process's recent-trace summaries and prints
-// them: newest first, or the slowest (by fleet-wide wall-clock window)
-// when bySlowest is set.
+// listTraces prints the fleet's recent traces: newest first, or the
+// slowest (by fleet-wide wall-clock window) when bySlowest is set.
 func listTraces(ctx context.Context, w io.Writer, eps []string, bySlowest bool, n int) error {
-	merged := make(map[string]*fleetTrace)
-	hc := &http.Client{}
-	reached := 0
-	for _, ep := range eps {
-		tr, err := span.FetchTraces(ctx, hc, ep, 100)
-		if err != nil {
-			continue
-		}
-		reached++
-		for _, s := range tr.Traces {
-			m := merged[s.TraceID]
-			if m == nil {
-				m = &fleetTrace{id: s.TraceID, start: s.StartUNS}
-				merged[s.TraceID] = m
-			}
-			m.spans += s.Spans
-			m.procs++
-			if s.StartUNS < m.start {
-				m.start = s.StartUNS
-			}
-			if end := s.StartUNS + int64(s.DurMS*1e6); end > m.end {
-				m.end = end
-			}
-			// The process that saw the trace first holds its true root
-			// (e.g. router.submit rather than a node's serve.submit).
-			if m.root == "" || s.StartUNS < m.rootStart {
-				m.root, m.rootStart = s.Root, s.StartUNS
-			}
-		}
-	}
+	list, reached := span.MergeTraces(ctx, nil, eps, bySlowest)
 	if reached == 0 {
 		return errors.New("no span endpoint reachable (is the fleet running?)")
 	}
-	list := make([]*fleetTrace, 0, len(merged))
-	for _, m := range merged { // mmtvet:ok — sorted below
-		list = append(list, m)
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if bySlowest {
-			if di, dj := list[i].end-list[i].start, list[j].end-list[j].start; di != dj {
-				return di > dj
-			}
-		} else if list[i].start != list[j].start {
-			return list[i].start > list[j].start
-		}
-		return list[i].id < list[j].id
-	})
 	if len(list) > n {
 		list = list[:n]
 	}
 	fmt.Fprintf(w, "%-36s %12s %6s %6s  %s\n", "trace", "duration", "spans", "procs", "root")
 	for _, m := range list {
 		fmt.Fprintf(w, "%-36s %12s %6d %6d  %s\n",
-			m.id, fmt.Sprintf("%.3fms", float64(m.end-m.start)/1e6), m.spans, m.procs, m.root)
+			m.TraceID, fmt.Sprintf("%.3fms", float64(m.EndUNS-m.StartUNS)/1e6), m.Spans, m.Procs, m.Root)
 	}
 	return nil
 }

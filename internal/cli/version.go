@@ -1,8 +1,8 @@
 package cli
 
 import (
+	"flag"
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -48,7 +48,18 @@ func Version() string {
 	return v
 }
 
-// printVersion writes the line every command's -version flag produces.
-func printVersion(w io.Writer, cmd string) {
-	fmt.Fprintf(w, "%s %s %s\n", cmd, Version(), runtime.Version())
+// parseFlags registers -version on fs and parses args. With -version it
+// writes the version line ("<command> <version> <go version>") to fs's
+// output instead. done reports that the command should return err
+// without running: the flags did not parse, or -version was given.
+func parseFlags(fs *flag.FlagSet, args []string) (done bool, err error) {
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return true, err
+	}
+	if *version {
+		fmt.Fprintf(fs.Output(), "%s %s %s\n", fs.Name(), Version(), runtime.Version())
+		return true, nil
+	}
+	return false, nil
 }

@@ -20,17 +20,12 @@ func RunVet(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mmtvet", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		dir     = fs.String("dir", ".", "module root (where go.mod lives)")
-		roots   = fs.String("roots", strings.Join(defaultVetRoots, ","), "comma-separated root import paths whose closure is checked")
-		format  = fs.String("format", "text", "output format: text or json")
-		version = fs.Bool("version", false, "print version and exit")
+		dir    = fs.String("dir", ".", "module root (where go.mod lives)")
+		roots  = fs.String("roots", strings.Join(defaultVetRoots, ","), "comma-separated root import paths whose closure is checked")
+		format = fs.String("format", "text", "output format: text or json")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := parseFlags(fs, args); done {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtvet")
-		return nil
 	}
 	if *format != "text" && *format != "json" {
 		return fmt.Errorf("unknown -format %q (want text or json)", *format)

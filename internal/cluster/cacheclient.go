@@ -105,3 +105,33 @@ func FetchClusterStats(ctx context.Context, hc *http.Client, baseURL string) (Cl
 	err = json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&cs)
 	return cs, err
 }
+
+// Discover lists the processes of the fleet behind server, for the tools
+// that read every process (mmttrace, mmtdoctor): server itself, each node
+// its /v1/cluster reports when it is a router, then extra. Base URLs lose
+// surrounding spaces and trailing slashes; order is stable, and empty and
+// duplicate entries collapse. cs is the router's snapshot; when server is
+// not a router, cs is nil and err says why.
+func Discover(ctx context.Context, hc *http.Client, server string, extra []string) (eps []string, cs *ClusterStats, err error) {
+	seen := make(map[string]bool)
+	add := func(base string) {
+		base = strings.TrimRight(strings.TrimSpace(base), "/")
+		if base == "" || seen[base] {
+			return
+		}
+		seen[base] = true
+		eps = append(eps, base)
+	}
+	add(server)
+	stats, err := FetchClusterStats(ctx, hc, server)
+	if err == nil {
+		cs = &stats
+		for _, n := range stats.Nodes {
+			add(n.Node.URL)
+		}
+	}
+	for _, s := range extra {
+		add(s)
+	}
+	return eps, cs, err
+}

@@ -11,6 +11,7 @@ import (
 	"mmt/internal/obs/flight"
 	"mmt/internal/obs/span"
 	"mmt/internal/runner"
+	"mmt/internal/serve"
 )
 
 // maxEntryBytes bounds one cache entry on the wire. Outcomes are small
@@ -63,7 +64,7 @@ type CacheServerOptions struct {
 type CacheServer struct {
 	store  *runner.Cache
 	mux    *http.ServeMux
-	met    *cacheMetrics // the only hit/miss/store/reject counters
+	met    *cacheMetrics // the only hit/miss/store/reject/eviction counters
 	tracer *span.Tracer
 	flight *flight.Recorder
 	log    *slog.Logger
@@ -83,19 +84,11 @@ type cacheMetrics struct {
 
 // NewCacheServer opens the store and builds the handler.
 func NewCacheServer(opts CacheServerOptions) (*CacheServer, error) {
-	store, err := runner.OpenCache(opts.Dir, opts.MaxBytes)
-	if err != nil {
-		return nil, err
-	}
-	s := &CacheServer{store: store, tracer: opts.Tracer, flight: opts.Flight, log: opts.Log, start: time.Now()}
-	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s.met = &cacheMetrics{
+	met := &cacheMetrics{
 		hits:      reg.Counter("mmt_cached_hits_total", "Entry fetches that hit."),
 		misses:    reg.Counter("mmt_cached_misses_total", "Entry fetches that missed."),
 		stores:    reg.Counter("mmt_cached_stores_total", "Entries stored."),
@@ -104,25 +97,20 @@ func NewCacheServer(opts CacheServerOptions) (*CacheServer, error) {
 		entries:   reg.Gauge("mmt_cached_entries", "Entries currently stored."),
 		bytes:     reg.Gauge("mmt_cached_bytes", "Bytes currently stored."),
 	}
-	store.SetEvictHook(s.met.evictions.Inc)
+	store, err := runner.OpenCache(opts.Dir, opts.MaxBytes, met.evictions)
+	if err != nil {
+		return nil, err
+	}
+	s := &CacheServer{store: store, met: met, tracer: opts.Tracer, flight: opts.Flight, log: opts.Log, start: time.Now()}
+	if s.log == nil {
+		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handlePut)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	if s.tracer != nil {
-		mux.Handle("GET /v1/spans", s.tracer)
-	}
-	if opts.Metrics != nil {
-		mux.Handle("GET /metrics", opts.Metrics)
-	}
-	if opts.Debug != nil {
-		mux.Handle("GET /v1/debug/", opts.Debug)
-	}
-	if opts.Flight != nil {
-		// The exact route wins over the Debug prefix above.
-		mux.Handle("GET /v1/debug/flight", opts.Flight)
-	}
+	serve.MountDiagnostics(mux, opts.Metrics, opts.Tracer, opts.Flight, opts.Debug)
 	s.mux = mux
 	return s, nil
 }
@@ -172,7 +160,7 @@ func (s *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		sp.SetAttr("result", "miss")
 		s.met.misses.Inc()
-		writeError(w, http.StatusNotFound, 0, "no entry for key %.8s", key)
+		serve.WriteError(w, http.StatusNotFound, 0, "no entry for key %.8s", key)
 		return
 	}
 	sp.SetAttr("result", "hit")
@@ -207,11 +195,11 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 func (s *CacheServer) reject(w http.ResponseWriter, status int, format string, args ...any) {
 	s.met.rejects.Inc()
 	s.flight.MarkErr("cache entry rejected", fmt.Sprintf(format, args...))
-	writeError(w, status, 0, format, args...)
+	serve.WriteError(w, status, 0, format, args...)
 }
 
 func (s *CacheServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 	})
@@ -230,11 +218,11 @@ type CacheStats struct {
 }
 
 func (s *CacheServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, CacheStats{
+	serve.WriteJSON(w, http.StatusOK, CacheStats{
 		UptimeMS:  time.Since(s.start).Milliseconds(),
 		Entries:   s.store.Len(),
 		Bytes:     s.store.Bytes(),
-		Evictions: s.store.Evictions(),
+		Evictions: s.met.evictions.Value(),
 		Hits:      s.met.hits.Value(),
 		Misses:    s.met.misses.Value(),
 		Stores:    s.met.stores.Value(),

@@ -34,35 +34,3 @@
 // cmd/mmtload's -cluster mode drives a router and reports per-node
 // throughput and the fleet dedup ratio.
 package cluster
-
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"net/http"
-	"time"
-)
-
-// errorBody mirrors serve's JSON error envelope, so clients decode router
-// and backend errors identically.
-type errorBody struct {
-	Error        string `json:"error"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, retryAfter time.Duration, format string, args ...any) {
-	body := errorBody{Error: fmt.Sprintf(format, args...)}
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64(math.Ceil(retryAfter.Seconds()))))
-		body.RetryAfterMS = retryAfter.Milliseconds()
-	}
-	writeJSON(w, status, body)
-}

@@ -220,7 +220,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		b.proxy.FlushInterval = -1 // SSE: flush every chunk
 		b.proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 			rt.met.errors.Inc()
-			writeError(w, http.StatusBadGateway, 0, "backend %s: %v", b.node.Name, err)
+			serve.WriteError(w, http.StatusBadGateway, 0, "backend %s: %v", b.node.Name, err)
 		}
 		rt.backends = append(rt.backends, b)
 		rt.byName[n.Name] = b
@@ -253,19 +253,7 @@ func (rt *Router) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
-	if rt.opts.Tracer != nil {
-		mux.Handle("GET /v1/spans", rt.opts.Tracer)
-	}
-	if rt.opts.Metrics != nil {
-		mux.Handle("GET /metrics", rt.opts.Metrics)
-	}
-	if rt.opts.Debug != nil {
-		mux.Handle("GET /v1/debug/", rt.opts.Debug)
-	}
-	if rt.opts.Flight != nil {
-		// The exact route wins over the Debug prefix above.
-		mux.Handle("GET /v1/debug/flight", rt.opts.Flight)
-	}
+	serve.MountDiagnostics(mux, rt.opts.Metrics, rt.opts.Tracer, rt.opts.Flight, rt.opts.Debug)
 	return mux
 }
 
@@ -338,17 +326,17 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "decoding request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, 0, "decoding request: %v", err)
 		return
 	}
 	task, err := rt.opts.Resolve(req.Task)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, 0, "resolving task: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, 0, "resolving task: %v", err)
 		return
 	}
 	key, err := task.Key()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, 0, "keying task: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, 0, "keying task: %v", err)
 		return
 	}
 
@@ -380,7 +368,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rsp.SetAttr("error", perr.Error())
 			rsp.End()
 			sub.SetAttr("error", perr.Error())
-			writeError(w, http.StatusServiceUnavailable, 0, "%v", perr)
+			serve.WriteError(w, http.StatusServiceUnavailable, 0, "%v", perr)
 			return
 		}
 		rsp.SetAttr("node", b.node.Name)
@@ -417,7 +405,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				"trace", st.TraceID, "span", sub.Context().SpanID)
 			w.Header().Set("Location", "/v1/jobs/"+st.ID)
 			w.Header().Set("X-MMT-Node", b.node.Name)
-			writeJSON(w, http.StatusAccepted, st)
+			serve.WriteJSON(w, http.StatusAccepted, st)
 			return
 		}
 		var se *client.StatusError
@@ -427,7 +415,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			sub.SetAttr("error", se.Message)
 			rt.log.Warn("submit refused by backend", "node", b.node.Name,
 				"status", se.Code, "error", se.Message, "trace", req.TraceID)
-			writeError(w, se.Code, se.RetryAfter, "%s", se.Message)
+			serve.WriteError(w, se.Code, se.RetryAfter, "%s", se.Message)
 			return
 		}
 		if r.Context().Err() != nil {
@@ -441,7 +429,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"error", err.Error(), "trace", req.TraceID)
 	}
 	sub.SetAttr("error", "all backends unreachable")
-	writeError(w, http.StatusBadGateway, 0, "all backends unreachable")
+	serve.WriteError(w, http.StatusBadGateway, 0, "all backends unreachable")
 }
 
 // routeVerdict renders a forward's placement decision for the flight
@@ -497,7 +485,7 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	jr, ok := rt.jobs[id]
 	rt.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, 0, "no such job: %s (not routed through this router)", id)
+		serve.WriteError(w, http.StatusNotFound, 0, "no such job: %s (not routed through this router)", id)
 		return
 	}
 	if jr.trace != "" {
@@ -537,7 +525,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "unhealthy"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	serve.WriteJSON(w, status, h)
 }
 
 // handleStats serves an aggregated serve.Stats, so tools written against
@@ -547,7 +535,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	fleet, _ := rt.fleetStats(r.Context())
 	fleet.UptimeMS = time.Since(rt.start).Milliseconds()
-	writeJSON(w, http.StatusOK, fleet)
+	serve.WriteJSON(w, http.StatusOK, fleet)
 }
 
 // fleetStats fans a fresh /v1/stats request out to every non-down backend
@@ -656,5 +644,5 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if cs.Fleet.Completed > 0 {
 		cs.DedupRatio = float64(cs.Fleet.Completed-cs.Fleet.Simulated) / float64(cs.Fleet.Completed)
 	}
-	writeJSON(w, http.StatusOK, cs)
+	serve.WriteJSON(w, http.StatusOK, cs)
 }

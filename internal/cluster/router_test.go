@@ -70,14 +70,14 @@ func newFakeNode(t *testing.T, name string) *fakeNode {
 		if st != "ok" {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, serve.Health{Status: st})
+		serve.WriteJSON(w, code, serve.Health{Status: st})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serve.Stats{QueueDepth: int(f.depth.Load())})
+		serve.WriteJSON(w, http.StatusOK, serve.Stats{QueueDepth: int(f.depth.Load())})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		n := f.submits.Add(1)
-		writeJSON(w, http.StatusAccepted, serve.JobStatus{ID: fmt.Sprintf("%s-%d", f.name, n)})
+		serve.WriteJSON(w, http.StatusAccepted, serve.JobStatus{ID: fmt.Sprintf("%s-%d", f.name, n)})
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)

@@ -41,21 +41,21 @@ func newEchoNode(t *testing.T, name string) *echoNode {
 	f.headerCtx.Store(span.SpanContext{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serve.Health{Status: f.status.Load().(string)})
+		serve.WriteJSON(w, http.StatusOK, serve.Health{Status: f.status.Load().(string)})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serve.Stats{QueueDepth: int(f.depth.Load())})
+		serve.WriteJSON(w, http.StatusOK, serve.Stats{QueueDepth: int(f.depth.Load())})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req serve.SubmitRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, 0, "%v", err)
+			serve.WriteError(w, http.StatusBadRequest, 0, "%v", err)
 			return
 		}
 		f.bodyTrace.Store(req.TraceID)
 		f.headerCtx.Store(span.Extract(r.Header))
 		n := f.submission.Add(1)
-		writeJSON(w, http.StatusAccepted, serve.JobStatus{
+		serve.WriteJSON(w, http.StatusAccepted, serve.JobStatus{
 			ID: fmt.Sprintf("%s-%d", f.name, n), TraceID: req.TraceID,
 		})
 	})

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -34,7 +33,7 @@ type Options struct {
 	// whole fleet) or a single mmtserved.
 	Server string
 	// Sources are extra base URLs to collect from (e.g. an mmtcached,
-	// which no /v1/cluster reports).
+	// which no /v1/cluster reports); empty entries are skipped.
 	Sources []string
 	// Client is the HTTP client (nil = a default client; the caller's
 	// context bounds the sweep).
@@ -121,7 +120,12 @@ func Collect(ctx context.Context, opts Options) (*Bundle, error) {
 	b := &Bundle{Schema: BundleSchema, Version: opts.Version, Server: opts.Server,
 		TakenUNS: time.Now().UnixNano()}
 
-	eps := discover(ctx, &opts, b)
+	eps, cs, err := cluster.Discover(ctx, opts.Client, opts.Server, opts.Sources)
+	if err != nil {
+		fmt.Fprintf(opts.Progress, "doctor: no cluster behind %s (%v); treating it as a single node\n",
+			opts.Server, err)
+	}
+	b.Cluster = cs
 	for _, ep := range eps {
 		n := collectNode(ctx, &opts, ep)
 		if n == nil {
@@ -139,36 +143,6 @@ func Collect(ctx context.Context, opts Options) (*Bundle, error) {
 	collectTraces(ctx, &opts, b, eps)
 	b.Triage = triage(b, opts.TopFrames)
 	return b, nil
-}
-
-// discover expands -server via its /v1/cluster (when it is a router) and
-// appends the extra sources; order is stable and duplicates collapse. A
-// successful cluster fetch also lands in the bundle.
-func discover(ctx context.Context, opts *Options, b *Bundle) []string {
-	seen := make(map[string]bool)
-	var eps []string
-	add := func(base string) {
-		base = strings.TrimRight(strings.TrimSpace(base), "/")
-		if base == "" || seen[base] {
-			return
-		}
-		seen[base] = true
-		eps = append(eps, base)
-	}
-	add(opts.Server)
-	if cs, err := cluster.FetchClusterStats(ctx, opts.Client, opts.Server); err == nil {
-		b.Cluster = &cs
-		for _, n := range cs.Nodes {
-			add(n.Node.URL)
-		}
-	} else {
-		fmt.Fprintf(opts.Progress, "doctor: no cluster behind %s (%v); treating it as a single node\n",
-			opts.Server, err)
-	}
-	for _, s := range opts.Sources {
-		add(s)
-	}
-	return eps
 }
 
 // collectNode pulls one process's whole debug surface. The flight ring is
@@ -231,62 +205,17 @@ func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
 	return n
 }
 
-// fleetTrace is one trace's summaries merged across processes.
-type fleetTrace struct {
-	id        string
-	root      string
-	rootStart int64
-	spans     int
-	procs     int
-	start     int64
-	end       int64
-}
-
-// collectTraces merges every process's recent-trace summaries, ranks them
-// by fleet-wide duration, and stitches the slowest into the bundle.
+// collectTraces ranks the fleet's recent traces by fleet-wide duration
+// and stitches the slowest into the bundle.
 func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) {
-	merged := make(map[string]*fleetTrace)
-	for _, ep := range eps {
-		tr, err := span.FetchTraces(ctx, opts.Client, ep, 100)
-		if err != nil {
-			continue
-		}
-		for _, s := range tr.Traces {
-			m := merged[s.TraceID]
-			if m == nil {
-				m = &fleetTrace{id: s.TraceID, start: s.StartUNS}
-				merged[s.TraceID] = m
-			}
-			m.spans += s.Spans
-			m.procs++
-			if s.StartUNS < m.start {
-				m.start = s.StartUNS
-			}
-			if end := s.StartUNS + int64(s.DurMS*1e6); end > m.end {
-				m.end = end
-			}
-			if m.root == "" || s.StartUNS < m.rootStart {
-				m.root, m.rootStart = s.Root, s.StartUNS
-			}
-		}
-	}
-	list := make([]*fleetTrace, 0, len(merged))
-	for _, m := range merged { // mmtvet:ok — sorted below
-		list = append(list, m)
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if di, dj := list[i].end-list[i].start, list[j].end-list[j].start; di != dj {
-			return di > dj
-		}
-		return list[i].id < list[j].id
-	})
+	list, _ := span.MergeTraces(ctx, opts.Client, eps, true)
 	if len(list) > opts.SlowTraces {
 		list = list[:opts.SlowTraces]
 	}
 	for _, m := range list {
 		var records []span.Record
 		for _, ep := range eps {
-			sr, err := span.FetchSpans(ctx, opts.Client, ep, m.id)
+			sr, err := span.FetchSpans(ctx, opts.Client, ep, m.TraceID)
 			if err != nil {
 				continue
 			}
@@ -298,8 +227,8 @@ func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) 
 		}
 		start, end := tree.Window()
 		b.Traces = append(b.Traces, TraceDiag{
-			ID:      m.id,
-			Root:    m.root,
+			ID:      m.TraceID,
+			Root:    m.Root,
 			DurMS:   float64(end-start) / 1e6,
 			Spans:   tree.Count,
 			Procs:   len(tree.Services),

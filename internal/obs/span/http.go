@@ -118,6 +118,69 @@ func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// FleetTrace is one trace's recent-trace summaries merged across the
+// processes that hold its spans.
+type FleetTrace struct {
+	TraceID string
+	// Root names the root span seen by the process that saw the trace
+	// first (e.g. router.submit rather than a node's serve.submit).
+	Root     string
+	Spans    int   // spans across every process
+	Procs    int   // processes holding some of its spans
+	StartUNS int64 // earliest start across processes
+	EndUNS   int64 // latest end across processes
+
+	rootStart int64
+}
+
+// MergeTraces fetches each endpoint's recent trace summaries and merges
+// them per trace id: newest first, or slowest first (by the fleet-wide
+// wall-clock window) when bySlowest is set. reached counts the endpoints
+// that answered.
+func MergeTraces(ctx context.Context, hc *http.Client, eps []string, bySlowest bool) (list []FleetTrace, reached int) {
+	merged := make(map[string]*FleetTrace)
+	for _, ep := range eps {
+		tr, err := FetchTraces(ctx, hc, ep, 100)
+		if err != nil {
+			continue
+		}
+		reached++
+		for _, s := range tr.Traces {
+			m := merged[s.TraceID]
+			if m == nil {
+				m = &FleetTrace{TraceID: s.TraceID, StartUNS: s.StartUNS}
+				merged[s.TraceID] = m
+			}
+			m.Spans += s.Spans
+			m.Procs++
+			if s.StartUNS < m.StartUNS {
+				m.StartUNS = s.StartUNS
+			}
+			if end := s.StartUNS + int64(s.DurMS*1e6); end > m.EndUNS {
+				m.EndUNS = end
+			}
+			if m.Root == "" || s.StartUNS < m.rootStart {
+				m.Root, m.rootStart = s.Root, s.StartUNS
+			}
+		}
+	}
+	list = make([]FleetTrace, 0, len(merged))
+	for _, m := range merged { // mmtvet:ok — sorted below
+		list = append(list, *m)
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if bySlowest {
+			if di, dj := list[i].EndUNS-list[i].StartUNS, list[j].EndUNS-list[j].StartUNS; di != dj {
+				return di > dj
+			}
+		} else if list[i].StartUNS != list[j].StartUNS {
+			return list[i].StartUNS > list[j].StartUNS
+		}
+		return list[i].TraceID < list[j].TraceID
+	})
+	return list, reached
+}
+
 // FetchSpans GETs one process's spans for a trace from its /v1/spans
 // endpoint. base is the process base URL (e.g. "http://127.0.0.1:8391").
 func FetchSpans(ctx context.Context, hc *http.Client, base, traceID string) (SpansResponse, error) {

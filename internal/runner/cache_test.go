@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"mmt/internal/core"
+	"mmt/internal/obs"
 	"mmt/internal/sim"
 )
 
@@ -36,12 +38,11 @@ func TestCacheLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	k0, r0 := testEntry(t, 0, 64)
 	budget := int64(3*len(r0) + len(r0)/2) // room for ~3 entries
-	c, err := OpenCache(dir, budget)
+	var evictions obs.Counter
+	c, err := OpenCache(dir, budget, &evictions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evicted := 0
-	c.SetEvictHook(func() { evicted++ })
 
 	keys := []string{k0}
 	if err := c.PutRaw(k0, r0); err != nil {
@@ -58,11 +59,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Evictions() == 0 || evicted == 0 {
+	if evictions.Value() == 0 {
 		t.Fatalf("no evictions under a %d-byte budget after 5 inserts (bytes=%d)", budget, c.Bytes())
-	}
-	if int(c.Evictions()) != evicted {
-		t.Errorf("evict hook fired %d times, counter says %d", evicted, c.Evictions())
 	}
 	if c.Bytes() > budget {
 		t.Errorf("cache holds %d bytes, budget %d", c.Bytes(), budget)
@@ -78,7 +76,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheReopenRebuildsIndex(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir, 0)
+	c, err := OpenCache(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestCacheReopenRebuildsIndex(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenCache(dir, 0)
+	re, err := OpenCache(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +100,51 @@ func TestCacheReopenRebuildsIndex(t *testing.T) {
 		t.Errorf("reopened cache indexed %d entries / %d bytes, want 3 / %d", re.Len(), re.Bytes(), total)
 	}
 	// Reopening under a tight budget trims immediately.
-	tight, err := OpenCache(dir, total-1)
+	var evictions obs.Counter
+	tight, err := OpenCache(dir, total-1, &evictions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight.Evictions() == 0 || tight.Bytes() > total-1 {
-		t.Errorf("tight reopen: %d evictions, %d bytes (budget %d)", tight.Evictions(), tight.Bytes(), total-1)
+	if evictions.Value() == 0 || tight.Bytes() > total-1 {
+		t.Errorf("tight reopen: %d evictions, %d bytes (budget %d)", evictions.Value(), tight.Bytes(), total-1)
+	}
+}
+
+// TestNewCountsEvictionsAtOpen opens an over-budget cache directory
+// through New: every entry trimmed at open counts in
+// mmt_cache_evictions_total.
+func TestNewCountsEvictionsAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	const files = 5
+	var size int64
+	for i := 0; i < files; i++ {
+		key, raw := testEntry(t, i, 64)
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		size = int64(len(raw))
+	}
+	reg := obs.NewRegistry()
+	p, err := New(context.Background(), Options{Workers: 1, CacheDir: dir, CacheMaxBytes: 2 * size, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted := files - len(left)
+	if evicted == 0 {
+		t.Fatalf("nothing evicted opening %d entries under a %d-byte budget", files, 2*size)
+	}
+	if got := reg.Counter("mmt_cache_evictions_total", "").Value(); got != uint64(evicted) {
+		t.Errorf("mmt_cache_evictions_total = %d, want %d (files evicted at open)", got, evicted)
 	}
 }
 
 func TestCachePutRawRejectsBadEntries(t *testing.T) {
-	c, err := OpenCache(t.TempDir(), 0)
+	c, err := OpenCache(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,11 +192,10 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 	}
 	p.met = newPoolMetrics(reg)
 	if opts.CacheDir != "" {
-		c, err := OpenCache(opts.CacheDir, opts.CacheMaxBytes)
+		c, err := OpenCache(opts.CacheDir, opts.CacheMaxBytes, p.met.evictions)
 		if err != nil {
 			return nil, err
 		}
-		c.SetEvictHook(p.met.evictions.Inc)
 		p.cache = c
 	}
 	if opts.RemoteTimeout <= 0 {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"time"
 
+	"mmt/internal/obs"
+	obsflight "mmt/internal/obs/flight"
 	"mmt/internal/obs/span"
 )
 
@@ -24,7 +26,7 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// errorBody is the JSON error envelope.
+// errorBody is the JSON error envelope every fleet daemon answers with.
 type errorBody struct {
 	Error string `json:"error"`
 	// RetryAfterMS mirrors the Retry-After header for clients that prefer
@@ -32,7 +34,8 @@ type errorBody struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of every fleet API.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -40,14 +43,39 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
-func writeHTTPError(w http.ResponseWriter, e *httpError) {
-	body := errorBody{Error: e.msg}
-	if e.retryAfter > 0 {
-		secs := int64(math.Ceil(e.retryAfter.Seconds()))
+// WriteError writes the JSON error envelope. A positive retryAfter also
+// sets the Retry-After header, in whole seconds rounded up.
+func WriteError(w http.ResponseWriter, status int, retryAfter time.Duration, format string, args ...any) {
+	body := errorBody{Error: fmt.Sprintf(format, args...)}
+	if retryAfter > 0 {
+		secs := int64(math.Ceil(retryAfter.Seconds()))
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		body.RetryAfterMS = e.retryAfter.Milliseconds()
+		body.RetryAfterMS = retryAfter.Milliseconds()
 	}
-	writeJSON(w, e.status, body)
+	WriteJSON(w, status, body)
+}
+
+func writeHTTPError(w http.ResponseWriter, e *httpError) {
+	WriteError(w, e.status, e.retryAfter, "%s", e.msg)
+}
+
+// MountDiagnostics mounts the diagnostic routes every fleet daemon serves
+// beside its API: GET /metrics, GET /v1/spans, GET /v1/debug/ and
+// GET /v1/debug/flight. A nil handler leaves its route unmounted.
+func MountDiagnostics(mux *http.ServeMux, reg *obs.Registry, tracer *span.Tracer, fl *obsflight.Recorder, debug http.Handler) {
+	if tracer != nil {
+		mux.Handle("GET /v1/spans", tracer)
+	}
+	if reg != nil {
+		mux.Handle("GET /metrics", reg)
+	}
+	if debug != nil {
+		mux.Handle("GET /v1/debug/", debug)
+	}
+	if fl != nil {
+		// The exact route wins over the debug prefix above.
+		mux.Handle("GET /v1/debug/flight", fl)
+	}
 }
 
 // routes builds the API mux.
@@ -58,19 +86,7 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	if s.opts.Tracer != nil {
-		mux.Handle("GET /v1/spans", s.opts.Tracer)
-	}
-	if s.opts.Metrics != nil {
-		mux.Handle("GET /metrics", s.opts.Metrics)
-	}
-	if s.opts.Debug != nil {
-		mux.Handle("GET /v1/debug/", s.opts.Debug)
-	}
-	if s.opts.Flight != nil {
-		// The exact route wins over the Debug prefix above.
-		mux.Handle("GET /v1/debug/flight", s.opts.Flight)
-	}
+	MountDiagnostics(mux, s.opts.Metrics, s.opts.Tracer, s.opts.Flight, s.opts.Debug)
 	return mux
 }
 
@@ -111,7 +127,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("job submitted", "job", st.ID, "state", st.State, "dedup", st.Dedup,
 		"priority", st.Priority, "trace", st.TraceID, "span", sp.Context().SpanID)
 	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -125,7 +141,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.snapshotLocked(j, time.Now())
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // Health is the GET /v1/healthz body.
@@ -141,7 +157,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	WriteJSON(w, status, h)
 }
 
 // Stats is the GET /v1/stats body.
@@ -195,5 +211,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.JobP50MS = m.jobLatency.Quantile(0.5) * 1e3
 	st.JobP99MS = m.jobLatency.Quantile(0.99) * 1e3
 	st.Pool = s.pool.Summary()
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
